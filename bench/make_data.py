@@ -1,11 +1,11 @@
 """Regenerate the benchmark's reference data from the library in ``src/``.
 
-    python3 bench/make_data.py [--table-n 4096] [--skip-table]
+    python3 bench/make_data.py
 
 Writes ``bench/data/``:
 
-- ``table_reference.json``: the 27 effectiveness rows at a high quadrature
-  ``n`` (m_ref), beside the paper's 4-decimal table used as the 2e-3 gate;
+- ``table_reference.json``: the 27 effectiveness rows at quadrature
+  ``TABLE_REF_N`` (m_ref), beside the paper's 4-decimal table used as the 2e-3 gate;
 - ``eval_reference.json``: phi, gamma and beta of every ``EVAL_SPECS`` entry
   by line quadrature at 2^20 panels;
 - ``golden.json``: SHA-256 of stdout and the exit code of every grid and
@@ -18,7 +18,6 @@ is meant to alter the CLI's bytes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -39,6 +38,7 @@ PAPER = {  # effectiveness m of the source paper's table, four decimals
              0.5: 0.1942, 0.6: 0.2587, 0.7: 0.3422, 0.8: 0.4565, 0.9: 0.6320,
              1.0: 1.0000},
 }
+TABLE_REF_N = 4096
 EVAL_REF_N = 2 ** 20
 
 
@@ -47,19 +47,14 @@ def _write(name, payload):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--table-n", type=int, default=4096)
-    parser.add_argument("--skip-table", action="store_true")
-    args = parser.parse_args()
-    commit = run.provenance(0, "")["git_commit"]
+    commit = run.git_commit()
     run.DATA.mkdir(exist_ok=True)
 
-    if not args.skip_table:
-        rows = [[op.argv[0], float(op.argv[1]),
-                 effectiveness.effectiveness_score(op.argv[0], float(op.argv[1]), args.table_n).m]
-                for op in workloads.build("table", 0)]
-        _write("table_reference.json", {"commit": commit, "n": args.table_n, "rows": rows,
-                                        "paper": PAPER, "gate": workloads.TABLE_GATE})
+    rows = [[op.argv[0], float(op.argv[1]),
+             effectiveness.effectiveness_score(op.argv[0], float(op.argv[1]), TABLE_REF_N).m]
+            for op in workloads.build("table", 0)]
+    _write("table_reference.json", {"commit": commit, "n": TABLE_REF_N, "rows": rows,
+                                    "paper": PAPER, "gate": workloads.TABLE_GATE})
 
     quad = concordance.QuadratureConfig(EVAL_REF_N)
     values = {}

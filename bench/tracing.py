@@ -21,22 +21,24 @@ import numpy as np
 from copulabounds import cli, concordance, core, effectiveness, footrule, gini, regions
 
 LAYERS = ("core", "concordance", "footrule", "gini", "regions", "effectiveness", "cli")
-EVALUATOR_SPANS = {
-    footrule.FootruleUpperBound: "footrule.upper",
-    footrule.FootruleLowerBound: "footrule.lower",
-    gini.GiniUpperBound: "gini.upper",
-    gini.GiniLowerBound: "gini.lower",
-}
+
+
+def _gini_lower_codes(g, u, v):
+    # the lower gamma envelope is governed by the reflected upper piece
+    return gini.omega_region(-g, u, 1.0 - np.asarray(v, dtype=float))
+
+
+# (evaluator class, module, functional form, parameter attribute, span name,
+#  region codes of (param, u, v) or None when the envelope has no pieces)
+ENVELOPES = (
+    (footrule.FootruleUpperBound, footrule, "footrule_upper_bound", "phi", "footrule.upper",
+     footrule.delta_region),
+    (footrule.FootruleLowerBound, footrule, "footrule_lower_bound", "phi", "footrule.lower", None),
+    (gini.GiniUpperBound, gini, "gini_upper_bound", "gamma", "gini.upper", gini.omega_region),
+    (gini.GiniLowerBound, gini, "gini_lower_bound", "gamma", "gini.lower", _gini_lower_codes),
+)
+EVALUATOR_SPANS = {cls: span for cls, _, _, _, span, _ in ENVELOPES}
 EVAL_NAMES = frozenset(EVALUATOR_SPANS.values()) | {"core.eval"}
-
-
-def unit(metric: str) -> str:
-    """Unit of a per-layer metric, from its name."""
-    for suffix, name in ((".ns_per_point", "ns/point"), (".ns_per_byte", "ns/B"), (".bytes", "B"),
-                         (".piece_share", "ratio"), (".conv_err", "1"), (".s", "s"), ("_s", "s")):
-        if metric.endswith(suffix):
-            return name
-    return "count"
 
 
 def _points(u, v) -> int:
@@ -97,14 +99,10 @@ class Tracer(_Patcher):
                    lambda func, count, *a, **k: count)
         self._span(core, "sample_shuffle", "core.sample_shuffle",
                    lambda spec, count, seed: count)
-        for owner, attr, name in (
-                (footrule, "footrule_upper_bound", "footrule.upper"),
-                (footrule, "footrule_lower_bound", "footrule.lower"),
-                (footrule, "delta_region", "footrule.region"),
-                (gini, "gini_upper_bound", "gini.upper"),
-                (gini, "gini_lower_bound", "gini.lower"),
-                (gini, "omega_region", "gini.region")):
-            self._span(owner, attr, name, on_grid)
+        for _, owner, form, _, span, _ in ENVELOPES:
+            self._span(owner, form, span, on_grid)
+        self._span(footrule, "delta_region", "footrule.region", on_grid)
+        self._span(gini, "omega_region", "gini.region", on_grid)
         self._span(effectiveness, "effectiveness_score", "effectiveness.score")
         for attr in ("spearman_footrule", "gini_gamma", "blomqvist_beta"):
             self._span(concordance, attr, "concordance.measure")
@@ -200,30 +198,23 @@ class Census(_Patcher):
         self.total[layer] += codes.size
 
     def install(self):
-        delta, omega = footrule.delta_region, gini.omega_region
-        regions_of = {
-            footrule.FootruleUpperBound: ("footrule", lambda f, u, v: delta(f.phi, u, v)),
-            gini.GiniUpperBound: ("gini", lambda f, u, v: omega(f.gamma, u, v)),
-            gini.GiniLowerBound: ("gini", lambda f, u, v: omega(-f.gamma, u, 1.0 - np.asarray(v))),
-        }
+        pieced = [(cls, owner, form, param, span.split(".")[0], codes)
+                  for cls, owner, form, param, span, codes in ENVELOPES if codes is not None]
+        by_class = {cls: (param, layer, codes) for cls, _, _, param, layer, codes in pieced}
         call = core.BivariateFunction.__call__
 
         def counted_call(f, u, v):
-            if type(f) in regions_of:
-                layer, codes = regions_of[type(f)]
-                self._count(layer, codes(f, u, v))
+            if type(f) in by_class:
+                param, layer, codes = by_class[type(f)]
+                self._count(layer, codes(getattr(f, param), u, v))
             return call(f, u, v)
         self._patch(core.BivariateFunction, "__call__", counted_call)
 
-        for owner, attr, layer, codes in (
-                (footrule, "footrule_upper_bound", "footrule", delta),
-                (gini, "gini_upper_bound", "gini", omega),
-                (gini, "gini_lower_bound", "gini",
-                 lambda g, u, v: omega(-g, u, 1.0 - np.asarray(v, dtype=float)))):
-            def counted(p, u, v, _fn=owner.__dict__[attr], _layer=layer, _codes=codes):
+        for _, owner, form, _, layer, codes in pieced:
+            def counted(p, u, v, _fn=owner.__dict__[form], _layer=layer, _codes=codes):
                 self._count(_layer, _codes(p, u, v))
                 return _fn(p, u, v)
-            self._patch(owner, attr, counted)
+            self._patch(owner, form, counted)
 
     def shares(self) -> dict:
         return {f"{lay}.piece_share": self.governed[lay] / self.total[lay] if self.total[lay] else 0.0
