@@ -4,8 +4,9 @@ Evaluates measures, tabulates envelopes and attainable regions, audits the
 copula axioms, and samples supports; every command emits CSV (comma
 separated, LF line endings, floats at six decimals) to stdout or --out.
 
-Exit codes: 0 success, 2 usage or spec-parse errors, 3 semantic rejection
-(out-of-range parameters, invalid specs, sampling a proper quasi-copula).
+Exit codes: 0 success, 2 usage or spec-parse errors, 3 semantic rejection:
+every ValueError a command raises on its argument values (out-of-range
+parameters, invalid specs, sampling a proper quasi-copula).
 """
 
 from __future__ import annotations
@@ -27,24 +28,44 @@ class NotACopulaError(ValueError):
     """The spec denotes a proper quasi-copula; sampling is refused."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        s = f"{value:.6f}"
-        return "0.000000" if s == "-0.000000" else s
-    return str(value)
+def _format_column(col: np.ndarray) -> list:
+    """Cells of one column by its dtype: bools as true/false, floats at six
+    decimals with negative zero printed as zero, anything else by str."""
+    if col.dtype == bool:
+        return ["true" if x else "false" for x in col.tolist()]
+    if col.dtype.kind == "f":
+        cells = [f"{x:.6f}" for x in col.tolist()]
+        return ["0.000000" if c == "-0.000000" else c for c in cells]
+    return [str(x) for x in col.tolist()]
 
 
 @dataclass
 class CsvTable:
+    """Header names and one equal-length sequence of values per column."""
+
     header: list
-    rows: list
+    columns: list
 
     def render(self) -> str:
-        lines = [",".join(self.header)]
-        lines += [",".join(_fmt(x) for x in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
+        rows = zip(*(_format_column(np.asarray(col)) for col in self.columns))
+        return "\n".join([",".join(self.header), *map(",".join, rows)]) + "\n"
+
+
+ENVELOPES = {
+    "f-lower": footrule.FootruleLowerBound,
+    "f-upper": footrule.FootruleUpperBound,
+    "g-lower": gini.GiniLowerBound,
+    "g-upper": gini.GiniUpperBound,
+}
+
+# region codes of (param, u, v) and their labels, per bound; the lower gamma
+# envelope is governed by the reflected upper piece
+REGION_CODES = {
+    "f-lower": (lambda phi, u, v: np.zeros(np.shape(u), dtype=int), footrule.DELTA_LABELS),
+    "f-upper": (footrule.delta_region, footrule.DELTA_LABELS),
+    "g-lower": (lambda gamma, u, v: gini.omega_region(-gamma, u, 1.0 - v), gini.OMEGA_LABELS),
+    "g-upper": (gini.omega_region, gini.OMEGA_LABELS),
+}
 
 
 def _load_shuffle(path: str) -> core.ShuffleSpec:
@@ -105,15 +126,9 @@ def parse_copula_spec(text: str) -> core.BivariateFunction:
         param = float(rest)
     except ValueError as exc:
         raise SpecParseError(f"bad parameter in spec {text!r}") from exc
-    makers = {
-        "f-lower": footrule.FootruleLowerBound,
-        "f-upper": footrule.FootruleUpperBound,
-        "g-lower": gini.GiniLowerBound,
-        "g-upper": gini.GiniUpperBound,
-    }
-    if name not in makers:
+    if name not in ENVELOPES:
         raise SpecParseError(f"unknown copula spec {text!r}")
-    return makers[name](param)
+    return ENVELOPES[name](param)
 
 
 # ---------------------------------------------------------------------------
@@ -129,47 +144,24 @@ def cmd_eval(args) -> CsvTable:
         value = concordance.gini_gamma(func, quad)
     else:
         value = concordance.blomqvist_beta(func)
-    return CsvTable(["measure", "spec", "value"], [(args.measure, args.spec, value)])
-
-
-def _grid_value_and_region(bound: str, param: float):
-    if bound == "f-lower":
-        footrule._check_phi(param)
-        return (lambda u, v: footrule.footrule_lower_bound(param, u, v),
-                lambda u, v: np.zeros(np.broadcast(np.asarray(u), np.asarray(v)).shape, dtype=int),
-                footrule.DELTA_LABELS)
-    if bound == "f-upper":
-        return (lambda u, v: footrule.footrule_upper_bound(param, u, v),
-                lambda u, v: footrule.delta_region(param, u, v),
-                footrule.DELTA_LABELS)
-    if bound == "g-upper":
-        return (lambda u, v: gini.gini_upper_bound(param, u, v),
-                lambda u, v: gini.omega_region(param, u, v),
-                gini.OMEGA_LABELS)
-    # the lower gamma envelope is governed by the reflected upper piece
-    gini._check_gamma(param)
-    return (lambda u, v: gini.gini_lower_bound(param, u, v),
-            lambda u, v: gini.omega_region(-param, u, 1.0 - np.asarray(v, dtype=float)),
-            gini.OMEGA_LABELS)
+    return CsvTable(["measure", "spec", "value"], [[args.measure], [args.spec], [value]])
 
 
 def cmd_grid(args) -> CsvTable:
     if args.n < 2:
         raise core.OutOfRangeError("grid resolution must be >= 2")
-    value_fn, region_fn, labels = _grid_value_and_region(args.bound, args.param)
-    t = np.arange(args.n + 1) / args.n
-    vals = value_fn(t[:, None], t[None, :])
-    codes = region_fn(t[:, None], t[None, :])
-    rows = []
-    for i, a in enumerate(t):
-        for j, b in enumerate(t):
-            rows.append((a, b, vals[i, j], labels[codes[i, j]]))
-    return CsvTable(["a", "b", "value", "region"], rows)
+    func = ENVELOPES[args.bound](args.param)
+    region_codes, labels = REGION_CODES[args.bound]
+    t = core.grid_nodes(args.n)
+    a, b = np.repeat(t, args.n + 1), np.tile(t, args.n + 1)
+    regions_col = np.asarray(labels)[region_codes(args.param, a, b)]
+    return CsvTable(["a", "b", "value", "region"], [a, b, func(a, b), regions_col])
 
 
 def cmd_table1(args) -> CsvTable:
-    rows = [(r.kind, r.k, r.m) for r in effectiveness.table_rows(args.n)]
-    return CsvTable(["kind", "k", "m"], rows)
+    rows = effectiveness.table_rows(args.n)
+    return CsvTable(["kind", "k", "m"],
+                    [[r.kind for r in rows], [r.k for r in rows], [r.m for r in rows]])
 
 
 def cmd_region(args) -> CsvTable:
@@ -180,13 +172,9 @@ def cmd_region(args) -> CsvTable:
     else:
         lo_k, range_fn = -1.0, regions.beta_range_given_gini
     count = int(round((1.0 - lo_k) / args.step))
-    ks = lo_k + args.step * np.arange(count + 1)
-    ks[-1] = min(ks[-1], 1.0)
-    rows = []
-    for k in ks:
-        lo, hi = range_fn(min(float(k), 1.0))
-        rows.append((float(k), lo, hi))
-    return CsvTable(["k", "beta_lo", "beta_hi"], rows)
+    ks = np.minimum(lo_k + args.step * np.arange(count + 1), 1.0)
+    beta_lo, beta_hi = zip(*(range_fn(k) for k in ks.tolist()))
+    return CsvTable(["k", "beta_lo", "beta_hi"], [ks, beta_lo, beta_hi])
 
 
 def _draw(func, count: int, seed: int) -> np.ndarray:
@@ -216,7 +204,7 @@ def cmd_sample(args) -> CsvTable:
             f"(worst cell volume {report.worst_volume:.3g}); refusing to sample"
         )
     pts = _draw(func, args.count, seed)
-    return CsvTable(["u", "v"], [(float(u), float(v)) for u, v in pts])
+    return CsvTable(["u", "v"], [pts[:, 0], pts[:, 1]])
 
 
 def cmd_check(args) -> CsvTable:
@@ -230,7 +218,7 @@ def cmd_check(args) -> CsvTable:
            report.lipschitz_violation, report.margin_violation)
     return CsvTable(["is_quasicopula", "is_two_increasing", "worst_volume",
                      "lo_u", "lo_v", "hi_u", "hi_v",
-                     "lipschitz_violation", "margin_violation"], [row])
+                     "lipschitz_violation", "margin_violation"], [[x] for x in row])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="tabulate an envelope on an n x n node grid")
-    p.add_argument("bound", choices=["f-lower", "f-upper", "g-lower", "g-upper"])
+    p.add_argument("bound", choices=list(ENVELOPES))
     p.add_argument("param", type=float)
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_grid)
@@ -295,8 +283,7 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (core.OutOfRangeError, core.InvalidSpecError, core.NotMonotoneError,
-            concordance.NotACopulaGridError, NotACopulaError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     text = table.render()

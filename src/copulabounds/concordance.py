@@ -10,11 +10,12 @@ value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtremalSpec, GridFunction, OutOfRangeError
+from .core import ExtremalSpec, GridFunction, OutOfRangeError, grid_nodes
 
 FOOTRULE_RANGE = (-0.5, 1.0)
 GINI_RANGE = (-1.0, 1.0)
@@ -56,7 +57,7 @@ def spearman_footrule(func, quad: QuadratureConfig | None = None) -> float:
     quasi-copulas, which is how the supremum envelopes are scored.
     """
     quad = quad or DEFAULT_QUADRATURE
-    t = np.arange(quad.n + 1) / quad.n
+    t = grid_nodes(quad.n)
     val = 6.0 * float(simpson_weights(quad.n) @ func(t, t)) - 2.0
     return min(max(val, FOOTRULE_RANGE[0]), FOOTRULE_RANGE[1])
 
@@ -64,7 +65,7 @@ def spearman_footrule(func, quad: QuadratureConfig | None = None) -> float:
 def gini_gamma(func, quad: QuadratureConfig | None = None) -> float:
     """Gini gamma 4 * int (C(t,t) + C(t,1-t)) dt - 2, clamped to [-1, 1]."""
     quad = quad or DEFAULT_QUADRATURE
-    t = np.arange(quad.n + 1) / quad.n
+    t = grid_nodes(quad.n)
     w = simpson_weights(quad.n)
     val = 4.0 * float(w @ (func(t, t) + func(t, 1.0 - t))) - 2.0
     return min(max(val, GINI_RANGE[0]), GINI_RANGE[1])
@@ -150,12 +151,24 @@ def q_m_extremal_lower(spec: ExtremalSpec) -> float:
 # Measures of the extremal families as functions of the anchored value
 # ---------------------------------------------------------------------------
 
-def _check_anchor_value(a, b, d, tol=1e-9):
-    w = np.maximum(a + b - 1.0, 0.0)
-    m = np.minimum(a, b)
-    if np.any(d < w - tol) or np.any(d > m + tol):
-        raise OutOfRangeError("anchored value d outside [W(a,b), M(a,b)]")
-    return np.clip(d, w, m)
+def _anchored(measure):
+    """Decorator for a measure of an extremal family at anchor (a, b) and
+    anchored value d: rejects d outside [W(a,b), M(a,b)] by more than 1e-9,
+    clips it into that interval, and returns a Python float when a, b and d
+    are all scalars."""
+    @functools.wraps(measure)
+    def checked(a, b, d):
+        scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(d) == 0
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        d = np.asarray(d, dtype=float)
+        w = np.maximum(a + b - 1.0, 0.0)
+        m = np.minimum(a, b)
+        if np.any(d < w - 1e-9) or np.any(d > m + 1e-9):
+            raise OutOfRangeError("anchored value d outside [W(a,b), M(a,b)]")
+        out = measure(a, b, np.clip(d, w, m))
+        return float(out) if scalar else out
+    return checked
 
 
 def _triangle_frame(a, b, d):
@@ -174,17 +187,14 @@ def _triangle_frame(a, b, d):
     return lo, hi, np.clip(d1, 0.0, lo)
 
 
+@_anchored
 def f_lower(a, b, d):
     """Footrule of the least copula with value d at (a, b).
 
     Piecewise in d, nondecreasing, with range [-1/2, f_lower(a, b, M(a,b))].
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(d) == 0
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = _check_anchor_value(a, b, np.asarray(d, dtype=float))
     aa, bb, dd = _triangle_frame(a, b, d)
-    out = np.where(
+    return np.where(
         bb >= dd + 0.5,
         -0.5,
         np.where(
@@ -197,28 +207,20 @@ def f_lower(a, b, d):
             ),
         ),
     )
-    return float(out) if scalar else out
 
 
+@_anchored
 def f_upper(a, b, d):
     """Footrule of the greatest copula with value d at (a, b): 1 - 6(a-d)(b-d)."""
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(d) == 0
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = _check_anchor_value(a, b, np.asarray(d, dtype=float))
-    out = 1.0 - 6.0 * (a - d) * (b - d)
-    return float(out) if scalar else out
+    return 1.0 - 6.0 * (a - d) * (b - d)
 
 
+@_anchored
 def g_lower(a, b, d):
     """Gini gamma of the least copula with value d at (a, b); nondecreasing in d."""
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(d) == 0
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = _check_anchor_value(a, b, np.asarray(d, dtype=float))
     aa, bb, dd = _triangle_frame(a, b, d)
     base = 4.0 * dd * (1.0 - aa - bb + dd) - 1.0
-    out = np.where(
+    return np.where(
         bb >= dd + 0.5,
         base,
         np.where(
@@ -231,9 +233,9 @@ def g_lower(a, b, d):
             ),
         ),
     )
-    return float(out) if scalar else out
 
 
+@_anchored
 def g_upper(a, b, d):
     """Gini gamma of the greatest copula with value d at (a, b).
 
@@ -241,9 +243,4 @@ def g_upper(a, b, d):
     into the least copula with value b - d at (1 - a, b) and flips the sign
     of gamma.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(d) == 0
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = _check_anchor_value(a, b, np.asarray(d, dtype=float))
-    out = -g_lower(1.0 - a, b, b - d)
-    return float(out) if scalar else out
+    return -g_lower(1.0 - a, b, b - d)

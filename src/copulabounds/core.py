@@ -35,14 +35,43 @@ class OutOfRangeError(ValueError):
 
 
 def _as_unit(x, what="coordinate"):
-    """Coerce to float array, clamp drift within UNIT_SLACK, reject farther."""
+    """Coerce to float array, clamp drift within UNIT_SLACK, reject farther and NaN."""
     x = np.asarray(x, dtype=float)
-    if x.size and (np.any(x < -UNIT_SLACK) or np.any(x > 1.0 + UNIT_SLACK)):
+    if x.size and not (np.all(x >= -UNIT_SLACK) and np.all(x <= 1.0 + UNIT_SLACK)):
         raise ValueError(
             f"{what} outside the unit interval: range "
             f"[{float(np.min(x))}, {float(np.max(x))}]"
         )
     return np.clip(x, 0.0, 1.0)
+
+
+def _on_unit(fn, u, v, cast=float):
+    """``fn`` on validated unit coordinates; a Python ``cast`` scalar when
+    both ``u`` and ``v`` are scalars, otherwise an array of their shape."""
+    out = np.asarray(fn(_as_unit(u, "u"), _as_unit(v, "v")))
+    return cast(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
+
+
+def _check_range(value, lo, hi, what) -> float:
+    """``value`` as a float clamped to [lo, hi]; drift within UNIT_SLACK is
+    clamped, anything farther out (or NaN) raises OutOfRangeError."""
+    value = float(value)
+    if not (lo - UNIT_SLACK <= value <= hi + UNIT_SLACK):
+        raise OutOfRangeError(f"{what} value {value} outside [{lo}, {hi}]")
+    return min(max(value, lo), hi)
+
+
+def _first_match(masks, values, default):
+    """Per point, the value of the first mask that holds, else ``default``."""
+    out = default
+    for mask, value in zip(reversed(masks), reversed(values)):
+        out = np.where(mask, value, out)
+    return out
+
+
+def grid_nodes(n: int) -> np.ndarray:
+    """The n + 1 equispaced nodes i/n of [0, 1]."""
+    return np.arange(n + 1) / n
 
 
 @dataclass(frozen=True)
@@ -72,9 +101,7 @@ class BivariateFunction:
         raise NotImplementedError
 
     def __call__(self, u, v):
-        scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        out = np.asarray(self._value(_as_unit(u, "u"), _as_unit(v, "v")))
-        return float(out) if scalar else out
+        return _on_unit(self._value, u, v)
 
     def at(self, p: UnitPoint) -> float:
         return self(p.u, p.v)
@@ -152,12 +179,10 @@ def max_asymmetry(u, v):
 
     Equals min(u, v, 1-u, 1-v, |v-u|).
     """
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u = _as_unit(u, "u")
-    v = _as_unit(v, "v")
-    out = np.minimum(np.minimum(u, v), np.minimum(1.0 - u, 1.0 - v))
-    out = np.minimum(out, np.abs(v - u))
-    return float(out) if scalar else out
+    def value(u, v):
+        out = np.minimum(np.minimum(u, v), np.minimum(1.0 - u, 1.0 - v))
+        return np.minimum(out, np.abs(v - u))
+    return _on_unit(value, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +211,7 @@ class ExtremalSpec:
         if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
             raise InvalidSpecError(f"anchor ({a}, {b}) must lie in the open unit square")
         cmax = min(a, b, 1.0 - a, 1.0 - b)
-        if c < -UNIT_SLACK or c > cmax + UNIT_SLACK:
+        if not (-UNIT_SLACK <= c <= cmax + UNIT_SLACK):
             raise InvalidSpecError(f"offset c={c} outside [0, {cmax}] for anchor ({a}, {b})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -393,7 +418,7 @@ def check_quasicopula(func, n: int = 200, tol: float = 1e-9) -> AxiomReport:
         raise ValueError("n must be >= 2")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    t = np.arange(n + 1) / n
+    t = grid_nodes(n)
     vals = func(t[:, None], t[None, :])
     mesh = 1.0 / n
 
@@ -446,7 +471,7 @@ class GridFunction:
 
     @classmethod
     def from_function(cls, func, n: int) -> "GridFunction":
-        t = np.arange(n + 1) / n
+        t = grid_nodes(n)
         return cls(n, func(t[:, None], t[None, :]))
 
     def cell_volumes(self) -> np.ndarray:
@@ -512,16 +537,19 @@ class CheckerboardCopula(BivariateFunction):
 # Conditional-inverse sampling
 # ---------------------------------------------------------------------------
 
-def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6,
-                       deriv_step: float = 1e-6, mono_tol: float = 1e-7) -> np.ndarray:
+DERIV_STEP = 1e-6
+MONO_TOL = 1e-7
+
+
+def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np.ndarray:
     """Sample a copula by inverting its numeric conditional CDF.
 
     The conditional CDF at u is the forward difference
-    (C(u + h, v) - C(u, v)) / h with h = ``deriv_step`` (the stencil shifts
+    (C(u + h, v) - C(u, v)) / h with h = ``DERIV_STEP`` (the stencil shifts
     left at the right edge), inverted by bisection until the bracket is
     below ``inv_tol``. No density is required, so singular copulas work.
     The conditional CDF is probed on a coarse grid first; a decrease beyond
-    ``mono_tol`` raises NotMonotoneError (the function is then not
+    ``MONO_TOL`` raises NotMonotoneError (the function is then not
     2-increasing and has no conditional distribution to invert).
     """
     if count < 1:
@@ -531,7 +559,7 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6,
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     p = rng.random(count)
-    h = deriv_step
+    h = DERIV_STEP
     base = np.minimum(u, 1.0 - h)
 
     def cond(v):
@@ -543,9 +571,9 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6,
         cur = cond(np.full(count, t))
         worst = min(worst, float((cur - prev).min()))
         prev = cur
-    if worst < -mono_tol:
+    if worst < -MONO_TOL:
         raise NotMonotoneError(
-            f"conditional CDF decreases by {-worst:.3g} (> {mono_tol:g}); "
+            f"conditional CDF decreases by {-worst:.3g} (> {MONO_TOL:g}); "
             "the evaluator is not 2-increasing"
         )
 

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concordance import simpson_weights
+from .core import grid_nodes
 from .footrule import FootruleLowerBound, FootruleUpperBound
 from .gini import GiniLowerBound, GiniUpperBound
 
 FOOTRULE_TABLE_KS = tuple(np.round(np.arange(16) * 0.1 - 0.5, 10))
 GINI_TABLE_KS = tuple(np.round(np.arange(11) * 0.1, 10))
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -37,31 +39,30 @@ def _bounds_for(kind: str, k: float):
     raise ValueError(f"kind must be 'footrule' or 'gini', got {kind!r}")
 
 
-def effectiveness_score(kind: str, k: float, n: int = 2048,
-                  chunk: int = 256) -> EffectivenessRow:
+def effectiveness_score(kind: str, k: float, n: int = 2048) -> EffectivenessRow:
     """Score 1 - 6 * Simpson2D(|upper - lower|) on the (n+1)^2 node grid.
 
     The gap is asserted nonnegative before integration; a pointwise
     violation beyond 1e-10 means the envelopes are broken and raises.
-    Evaluation walks the grid in row blocks, so memory stays flat and the
-    blocks could run concurrently.
+    Evaluation walks the grid in blocks of ``ROW_BLOCK`` rows, so memory
+    stays flat and the blocks could run concurrently.
     """
     upper, lower = _bounds_for(kind, k)
     if n < 64 or n % 2:
         raise ValueError("panel count must be even and >= 64")
-    t = np.arange(n + 1) / n
+    t = grid_nodes(n)
     w = simpson_weights(n)
     v_row = t[None, :]
     total = 0.0
-    for i0 in range(0, n + 1, chunk):
-        u_col = t[i0:i0 + chunk][:, None]
+    for i0 in range(0, n + 1, ROW_BLOCK):
+        u_col = t[i0:i0 + ROW_BLOCK][:, None]
         gap = upper(u_col, v_row) - lower(u_col, v_row)
         if float(gap.min()) < -1e-10:
             raise RuntimeError(
                 f"bound ordering violated for {kind} k={k}: gap {float(gap.min())}"
             )
         np.maximum(gap, 0.0, out=gap)
-        total += float(w[i0:i0 + chunk] @ (gap @ w))
+        total += float(w[i0:i0 + ROW_BLOCK] @ (gap @ w))
     return EffectivenessRow(kind, float(k), 1.0 - 6.0 * total, n)
 
 

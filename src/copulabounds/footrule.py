@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BivariateFunction, OutOfRangeError, _as_unit
+from .core import BivariateFunction, _check_range, _first_match, _on_unit
 from .concordance import QuadratureConfig, spearman_footrule
 
 FOOTRULE_PARAM_RANGE = (-0.5, 1.0)
@@ -22,41 +22,39 @@ REGION_NONE = 0
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
 
-def _check_phi(phi) -> float:
-    phi = float(phi)
-    if not (-0.5 - 1e-12 <= phi <= 1.0 + 1e-12):
-        raise OutOfRangeError(f"footrule value {phi} outside [-1/2, 1]")
-    return min(max(phi, -0.5), 1.0)
-
-
 def hyperbola_halfwidth(phi) -> float:
     """Half-length of the diagonal span where the lower envelope's singular
     arcs leave the anti-diagonal: sqrt(3 (1 + 2 phi)) / 6."""
-    phi = _check_phi(phi)
+    phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
     return float(np.sqrt(3.0 * (1.0 + 2.0 * phi)) / 6.0)
 
 
-def _lower_raw(phi, u, v):
-    w = np.maximum(u + v - 1.0, 0.0)
-    m = np.minimum(u, v)
-    # endpoints short-circuit: the envelope is exactly W or M there and the
-    # [W, M] clamp must not leak edge rounding into the identity
-    if phi == -0.5:
-        return w
-    if phi == 1.0:
-        return m
-    q = (1.0 - phi) / 6.0
-    inside = (u * v >= q) & ((1.0 - u) * (1.0 - v) >= q)
-    val = 0.5 * (u + v - np.sqrt(2.0 * (1.0 - phi) / 3.0 + (v - u) ** 2))
-    return np.clip(np.where(inside, val, w), w, m)
+class FootruleLowerBound(BivariateFunction):
+    """Least value at (u, v) among all copulas with the given footrule;
+    always a copula."""
+
+    def __init__(self, phi):
+        self.phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
+        self.label = f"f-lower:{self.phi:g}"
+
+    def _value(self, u, v):
+        w = np.maximum(u + v - 1.0, 0.0)
+        m = np.minimum(u, v)
+        # endpoints short-circuit: the envelope is exactly W or M there and the
+        # [W, M] clamp must not leak edge rounding into the identity
+        if self.phi == -0.5:
+            return w
+        if self.phi == 1.0:
+            return m
+        q = (1.0 - self.phi) / 6.0
+        inside = (u * v >= q) & ((1.0 - u) * (1.0 - v) >= q)
+        val = 0.5 * (u + v - np.sqrt(2.0 * (1.0 - self.phi) / 3.0 + (v - u) ** 2))
+        return np.clip(np.where(inside, val, w), w, m)
 
 
 def footrule_lower_bound(phi, u, v):
     """Least value at (u, v) among all copulas with the given footrule."""
-    phi = _check_phi(phi)
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    out = _lower_raw(phi, _as_unit(u, "u"), _as_unit(v, "v"))
-    return float(out) if scalar else out
+    return FootruleLowerBound(phi)(u, v)
 
 
 def _delta_pieces(phi, a, b):
@@ -97,13 +95,6 @@ def _delta_pieces(phi, a, b):
     return masks, values
 
 
-def _first_match(masks, values, default):
-    out = default
-    for mask, value in zip(reversed(masks), reversed(values)):
-        out = np.where(mask, value, out)
-    return out
-
-
 def delta_region(phi, u, v):
     """Code 1..7 of the piece governing the upper envelope at (u, v), else 0.
 
@@ -111,54 +102,31 @@ def delta_region(phi, u, v):
     boundaries, so the order only picks among equal expressions. Every code
     is 0 for parameters above 1/4, where all pieces are empty.
     """
-    phi = _check_phi(phi)
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    a = _as_unit(u, "u")
-    b = _as_unit(v, "v")
-    masks, _ = _delta_pieces(phi, a, b)
-    codes = list(range(1, 8))
-    out = _first_match(masks, codes, np.zeros(np.broadcast(a, b).shape, dtype=int))
-    return int(out) if scalar else out
+    phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
+    return _on_unit(lambda a, b: _first_match(_delta_pieces(phi, a, b)[0], range(1, 8), 0),
+                    u, v, int)
 
 
-def _upper_raw(phi, u, v):
-    w = np.maximum(u + v - 1.0, 0.0)
-    m = np.minimum(u, v)
-    if phi >= 0.25:
-        return m
-    masks, values = _delta_pieces(phi, u, v)
-    return np.clip(_first_match(masks, values, m), w, m)
+class FootruleUpperBound(BivariateFunction):
+    """Greatest value at (u, v) among all copulas with the given footrule;
+    a proper quasi-copula for parameters strictly inside (-1/2, 1/4)."""
+
+    def __init__(self, phi):
+        self.phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
+        self.label = f"f-upper:{self.phi:g}"
+
+    def _value(self, u, v):
+        w = np.maximum(u + v - 1.0, 0.0)
+        m = np.minimum(u, v)
+        if self.phi >= 0.25:
+            return m
+        masks, values = _delta_pieces(self.phi, u, v)
+        return np.clip(_first_match(masks, values, m), w, m)
 
 
 def footrule_upper_bound(phi, u, v):
     """Greatest value at (u, v) among all copulas with the given footrule."""
-    phi = _check_phi(phi)
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    out = _upper_raw(phi, _as_unit(u, "u"), _as_unit(v, "v"))
-    return float(out) if scalar else out
-
-
-class FootruleLowerBound(BivariateFunction):
-    """Evaluator form of footrule_lower_bound; always a copula."""
-
-    def __init__(self, phi):
-        self.phi = _check_phi(phi)
-        self.label = f"f-lower:{self.phi:g}"
-
-    def _value(self, u, v):
-        return _lower_raw(self.phi, u, v)
-
-
-class FootruleUpperBound(BivariateFunction):
-    """Evaluator form of footrule_upper_bound; a proper quasi-copula for
-    parameters strictly inside (-1/2, 1/4)."""
-
-    def __init__(self, phi):
-        self.phi = _check_phi(phi)
-        self.label = f"f-upper:{self.phi:g}"
-
-    def _value(self, u, v):
-        return _upper_raw(self.phi, u, v)
+    return FootruleUpperBound(phi)(u, v)
 
 
 def footrule_of_lower_bound(phi) -> float:
@@ -167,7 +135,7 @@ def footrule_of_lower_bound(phi) -> float:
     Strictly below the parameter on the open range, with equality at the
     endpoints; the envelope is not a member of the family it bounds.
     """
-    phi = _check_phi(phi)
+    phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
     return 2.0 - phi - float(np.sqrt(6.0 * (1.0 - phi)))
 
 

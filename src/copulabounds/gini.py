@@ -11,20 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BivariateFunction, OutOfRangeError, _as_unit
+from .core import BivariateFunction, _check_range, _first_match, _on_unit
 from .concordance import QuadratureConfig, gini_gamma
 
 GINI_PARAM_RANGE = (-1.0, 1.0)
 
 REGION_NONE = 0
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
-
-
-def _check_gamma(gamma) -> float:
-    gamma = float(gamma)
-    if not (-1.0 - 1e-12 <= gamma <= 1.0 + 1e-12):
-        raise OutOfRangeError(f"gamma value {gamma} outside [-1, 1]")
-    return min(max(gamma, -1.0), 1.0)
 
 
 def _omega_pieces(gamma, a, b):
@@ -100,13 +93,6 @@ def _omega_pieces(gamma, a, b):
     return masks, values
 
 
-def _first_match(masks, values, default):
-    out = default
-    for mask, value in zip(reversed(masks), reversed(values)):
-        out = np.where(mask, value, out)
-    return out
-
-
 def omega_region(gamma, u, v):
     """Code 1..9 of the piece governing the upper envelope at (u, v), else 0.
 
@@ -114,81 +100,63 @@ def omega_region(gamma, u, v):
     All codes are 0 for parameters above 1/2; degenerate pieces (such as
     the diagonal at parameter -1) still report their code.
     """
-    gamma = _check_gamma(gamma)
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    a = _as_unit(u, "u")
-    b = _as_unit(v, "v")
-    masks, _ = _omega_pieces(gamma, a, b)
-    codes = list(range(1, 10))
-    out = _first_match(masks, codes, np.zeros(np.broadcast(a, b).shape, dtype=int))
-    return int(out) if scalar else out
+    gamma = _check_range(gamma, *GINI_PARAM_RANGE, "gamma")
+    return _on_unit(lambda a, b: _first_match(_omega_pieces(gamma, a, b)[0], range(1, 10), 0),
+                    u, v, int)
 
 
-def _upper_raw(gamma, u, v):
-    w = np.maximum(u + v - 1.0, 0.0)
-    m = np.minimum(u, v)
-    # endpoints short-circuit before region dispatch: the degenerate regions
-    # are numerically fragile and the envelope is exactly W or M there
-    if gamma <= -1.0:
-        return w
-    if gamma >= 0.5:
-        return m
-    masks, values = _omega_pieces(gamma, u, v)
-    return np.clip(_first_match(masks, values, m), w, m)
+class GiniUpperBound(BivariateFunction):
+    """Greatest value at (u, v) among all copulas with the given gamma; a
+    copula exactly for parameters in [0, 1/2) and at the endpoints."""
+
+    def __init__(self, gamma):
+        self.gamma = _check_range(gamma, *GINI_PARAM_RANGE, "gamma")
+        self.label = f"g-upper:{self.gamma:g}"
+
+    def _value(self, u, v):
+        w = np.maximum(u + v - 1.0, 0.0)
+        m = np.minimum(u, v)
+        # endpoints short-circuit before region dispatch: the degenerate regions
+        # are numerically fragile and the envelope is exactly W or M there
+        if self.gamma <= -1.0:
+            return w
+        if self.gamma >= 0.5:
+            return m
+        masks, values = _omega_pieces(self.gamma, u, v)
+        return np.clip(_first_match(masks, values, m), w, m)
 
 
 def gini_upper_bound(gamma, u, v):
     """Greatest value at (u, v) among all copulas with the given gamma."""
-    gamma = _check_gamma(gamma)
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    out = _upper_raw(gamma, _as_unit(u, "u"), _as_unit(v, "v"))
-    return float(out) if scalar else out
+    return GiniUpperBound(gamma)(u, v)
 
 
-def _lower_raw(gamma, u, v):
-    w = np.maximum(u + v - 1.0, 0.0)
-    m = np.minimum(u, v)
-    if gamma >= 1.0:
-        return m
-    if gamma <= -0.5:
-        return w
-    return np.clip(u - _upper_raw(-gamma, u, 1.0 - v), w, m)
-
-
-def gini_lower_bound(gamma, u, v):
-    """Least value at (u, v) among all copulas with the given gamma.
+class GiniLowerBound(BivariateFunction):
+    """Least value at (u, v) among all copulas with the given gamma; a
+    copula exactly for parameters in (-1/2, 0] and at the endpoints.
 
     Computed by reflecting the upper envelope at the negated parameter:
     a - G_upper(-gamma)(a, 1-b), which equals b - G_upper(-gamma)(1-a, b).
     """
-    gamma = _check_gamma(gamma)
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    out = _lower_raw(gamma, _as_unit(u, "u"), _as_unit(v, "v"))
-    return float(out) if scalar else out
-
-
-class GiniUpperBound(BivariateFunction):
-    """Evaluator form of gini_upper_bound; a copula exactly for parameters
-    in [0, 1/2) and at the endpoints."""
 
     def __init__(self, gamma):
-        self.gamma = _check_gamma(gamma)
-        self.label = f"g-upper:{self.gamma:g}"
-
-    def _value(self, u, v):
-        return _upper_raw(self.gamma, u, v)
-
-
-class GiniLowerBound(BivariateFunction):
-    """Evaluator form of gini_lower_bound; a copula exactly for parameters
-    in (-1/2, 0] and at the endpoints."""
-
-    def __init__(self, gamma):
-        self.gamma = _check_gamma(gamma)
+        self.gamma = _check_range(gamma, *GINI_PARAM_RANGE, "gamma")
         self.label = f"g-lower:{self.gamma:g}"
+        self._reflected = GiniUpperBound(-self.gamma)
 
     def _value(self, u, v):
-        return _lower_raw(self.gamma, u, v)
+        w = np.maximum(u + v - 1.0, 0.0)
+        m = np.minimum(u, v)
+        if self.gamma >= 1.0:
+            return m
+        if self.gamma <= -0.5:
+            return w
+        return np.clip(u - self._reflected._value(u, 1.0 - v), w, m)
+
+
+def gini_lower_bound(gamma, u, v):
+    """Least value at (u, v) among all copulas with the given gamma."""
+    return GiniLowerBound(gamma)(u, v)
 
 
 def gini_of_bound(gamma, which: str = "upper",

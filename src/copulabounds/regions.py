@@ -12,30 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutOfRangeError
+from .core import _check_range
 
 
 class KindMismatchError(ValueError):
     """The pair's first component is not a footrule or gamma value."""
 
 
-def _check_beta(beta) -> float:
-    beta = float(beta)
-    if not (-1.0 - 1e-12 <= beta <= 1.0 + 1e-12):
-        raise OutOfRangeError(f"beta value {beta} outside [-1, 1]")
-    return min(max(beta, -1.0), 1.0)
-
-
-def _check_in(value, lo, hi, what) -> float:
-    value = float(value)
-    if not (lo - 1e-12 <= value <= hi + 1e-12):
-        raise OutOfRangeError(f"{what} value {value} outside [{lo}, {hi}]")
-    return min(max(value, lo), hi)
-
-
 def beta_range_given_footrule(phi) -> tuple[float, float]:
     """Closed interval of beta over all copulas with footrule ``phi``."""
-    phi = _check_in(phi, -0.5, 1.0, "footrule")
+    phi = _check_range(phi, -0.5, 1.0, "footrule")
     lo = 1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - phi) / 3.0))
     if phi >= 0.25:
         hi = 1.0
@@ -46,7 +32,7 @@ def beta_range_given_footrule(phi) -> tuple[float, float]:
 
 def footrule_range_given_beta(beta) -> tuple[float, float]:
     """Closed interval of footrule over all copulas with beta ``beta``."""
-    beta = _check_beta(beta)
+    beta = _check_range(beta, -1.0, 1.0, "beta")
     lo = 3.0 * (1.0 + beta) ** 2 / 16.0 - 0.5
     hi = 1.0 - 3.0 * (1.0 - beta) ** 2 / 8.0
     return lo, hi
@@ -54,7 +40,7 @@ def footrule_range_given_beta(beta) -> tuple[float, float]:
 
 def beta_range_given_gini(gamma) -> tuple[float, float]:
     """Closed interval of beta over all copulas with gamma ``gamma``."""
-    gamma = _check_in(gamma, -1.0, 1.0, "gamma")
+    gamma = _check_range(gamma, -1.0, 1.0, "gamma")
     if gamma <= -0.5:
         lo = -1.0
     else:
@@ -68,7 +54,7 @@ def beta_range_given_gini(gamma) -> tuple[float, float]:
 
 def gini_range_given_beta(beta) -> tuple[float, float]:
     """Closed interval of gamma over all copulas with beta ``beta``."""
-    beta = _check_beta(beta)
+    beta = _check_range(beta, -1.0, 1.0, "beta")
     lo = 3.0 * (1.0 + beta) ** 2 / 8.0 - 1.0
     hi = 1.0 - 3.0 * (1.0 - beta) ** 2 / 8.0
     return lo, hi
@@ -86,10 +72,10 @@ class MeasurePair:
         if self.kind not in ("footrule", "gini", "blomqvist"):
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.kind == "footrule":
-            object.__setattr__(self, "value", _check_in(self.value, -0.5, 1.0, "footrule"))
+            object.__setattr__(self, "value", _check_range(self.value, -0.5, 1.0, "footrule"))
         else:
-            object.__setattr__(self, "value", _check_in(self.value, -1.0, 1.0, self.kind))
-        object.__setattr__(self, "beta", _check_beta(self.beta))
+            object.__setattr__(self, "value", _check_range(self.value, -1.0, 1.0, self.kind))
+        object.__setattr__(self, "beta", _check_range(self.beta, -1.0, 1.0, "beta"))
 
 
 def pair_in_region(pair: MeasurePair, slack: float = 0.0) -> bool:

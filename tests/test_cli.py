@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,9 +144,11 @@ def test_parse_errors_exit_two(capsys):
 
 
 def test_semantic_errors_exit_three(capsys):
-    assert run_cli(capsys, "grid", "f-lower", "2.0", "4")[0] == 3
-    assert run_cli(capsys, "eval", "phi", "extremal:lower,0.5,0.5,0.6")[0] == 3
-    assert run_cli(capsys, "sample", "M", "0", "1")[0] == 3
+    for argv in ("grid f-lower 2.0 4", "eval phi extremal:lower,0.5,0.5,0.6", "sample M 0 1",
+                 "eval phi M --n 3", "check M 1", "sample M 10 -1", "table1 --n 63",
+                 "check extremal:lower,0.3,0.5,nan"):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert (code, out) == (3, ""), argv
 
 
 def test_usage_errors_exit_two(capsys):
@@ -193,3 +197,40 @@ def test_identical_invocations_are_byte_identical(capsys):
 def test_negative_zero_never_printed(capsys):
     _, out, _ = run_cli(capsys, "grid", "f-lower", "-0.5", "4")
     assert "-0.000000" not in out
+
+
+# SHA-256 of stdout recorded before the CSV writer became column-wise. The
+# grids cover every bound at an active and at a W/M short-circuit parameter;
+# k/128 nodes are exact ties at the seventh decimal, and the worst volume of
+# `check W 20` would print as -0.000000 without the negative-zero rule.
+PINNED_STDOUT = (
+    ("grid f-upper -0.2 12", "8b1fb007fe24fa1b31ff417b83a38e16df4f8ee07c5c6af80f4b905ccd4e0184"),
+    ("grid f-upper 0.5 10", "91e880aeb36865287cae1cdad87396134df02aa6f60104dfe9c022f3dca02bc1"),
+    ("grid f-lower 0.25 12", "ff7cd446aa9c80621a538b1ef6a6792ee04a8b15f8e9b4aafcdf4cad017a483d"),
+    ("grid f-lower 1.0 12", "0a0606b9fa048989f6990687d378226ea781c3364117b6892c6326361ebb49ff"),
+    ("grid g-upper -0.3 12", "7c790a4288ddda08bd620876eb2230911bcab8d9fa9de6208ad27910d311ce11"),
+    ("grid g-upper -1.0 12", "849ea5e9ee4e92cc7c2c666b9bee8b75ac8b921ec0620dbf2d9e0894d6786683"),
+    ("grid g-upper 0.7 9", "d9a2d9e53248f36da5a15e0ccc635e2dcf6d3529a9e71910c06e55435e9fc0fa"),
+    ("grid g-lower 0.3 12", "4410cde665f9ad44a45e991ad8629b7de2d82e62c9e0599460d4035703543e56"),
+    ("grid g-lower -0.8 12", "61dc4794fd21160b589a4f59a2968f06e52bbf7284529588ab64ed674940a732"),
+    ("grid g-lower 1.0 11", "df198a31f2d3ce4b94ae64a101ec2d384fbc769b8a6d21d050cec9b8c53ebcc1"),
+    ("grid f-lower -0.5 4", "fdba00d2e38e9a6cd242dd12b8aa63540598e365700b74f89ceb0b0da4e25f20"),
+    ("grid g-upper 0.1 128", "caf404ea30cc6b669f2783a124e9ce57043004d259dd475a608bc033082e8246"),
+    ("check g-upper:-0.5 50", "3b40fcb0da7fa3bf478fa6dc061f238fb4ed2a9be86ababce3a207d589a26ad1"),
+    ("check f-lower:0.25 40 1e-9", "63684e1a858799774a1627de98d30e941efe7a0a87084869ca6a4ab366912991"),
+    ("check W 20", "3957a54c30cb2accf3054d3f0be65fa99fa10f8e14a257f0969c5bc5b2f5caa9"),
+    ("sample g-upper:0.25 50 7", "aba420c576b585c344978412fd19fd404b9616d300cd74c37e3fe0a7ffcc8463"),
+    ("sample extremal:upper,0.3,0.6,0.1 30 2", "6d5ed249146532f25f33994e940f60f5aace5e05a4358debdb1e075212ab6f04"),
+    ("region gamma-beta --step 0.05", "ef8d25f663694837a8b25920a2fb69ace1ec316c60065c19f31995f50bee1cda"),
+    ("region phi-beta --step 0.02", "3e909c54dc9e9ed24867d94e2ac94f34e8af917c1bf5bceb6e2f5145eac7bf60"),
+    ("eval gamma f-upper:-0.3 --n 256", "1f0baecf3b9dfeb328345d22575f4f36df5b50be4809ae3ff9aa58a5d9de7c15"),
+    ("eval beta g-lower:0.3", "d842fd3332915672e694fbd801d96b92c78ee672961908f199ef56ce84b9a967"),
+    ("table1 --n 64", "3501e35e288560708433335a0c35457f714e5f6cd9e9cdcd268b24750c5eb988"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[a for a, _ in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

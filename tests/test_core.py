@@ -38,6 +38,10 @@ def test_frechet_and_product_values():
 def test_evaluators_reject_far_outside_inputs():
     with pytest.raises(ValueError):
         cb.M(1.2, 0.5)
+    with pytest.raises(ValueError):
+        cb.M(np.nan, 0.5)
+    with pytest.raises(ValueError):
+        cb.footrule_upper_bound(0.0, np.nan, 0.5)
 
 
 @given(unit_floats, unit_floats)
@@ -117,6 +121,8 @@ def test_extremal_spec_validation():
         cb.ExtremalSpec(0.5, 1.0, 0.0, "upper")
     with pytest.raises(cb.InvalidSpecError):
         cb.ExtremalSpec(0.5, 0.5, 0.1, "sideways")
+    with pytest.raises(cb.InvalidSpecError):
+        cb.ExtremalSpec(0.3, 0.5, np.nan, "lower")
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.0, 1.0))
