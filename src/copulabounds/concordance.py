@@ -153,9 +153,9 @@ def q_m_extremal_lower(spec: ExtremalSpec) -> float:
 
 def _anchored(measure):
     """Decorator for a measure of an extremal family at anchor (a, b) and
-    anchored value d: rejects d outside [W(a,b), M(a,b)] by more than 1e-9,
-    clips it into that interval, and returns a Python float when a, b and d
-    are all scalars."""
+    anchored value d: rejects NaN in a, b or d and d outside [W(a,b), M(a,b)]
+    by more than 1e-9, clips d into that interval, and returns a Python float
+    when a, b and d are all scalars."""
     @functools.wraps(measure)
     def checked(a, b, d):
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(d) == 0
@@ -164,8 +164,9 @@ def _anchored(measure):
         d = np.asarray(d, dtype=float)
         w = np.maximum(a + b - 1.0, 0.0)
         m = np.minimum(a, b)
-        if np.any(d < w - 1e-9) or np.any(d > m + 1e-9):
-            raise OutOfRangeError("anchored value d outside [W(a,b), M(a,b)]")
+        # NaN in a, b or d makes a comparison false, so it fails this test
+        if not np.all((d >= w - 1e-9) & (d <= m + 1e-9)):
+            raise OutOfRangeError("anchored value d outside [W(a,b), M(a,b)] or NaN")
         out = measure(a, b, np.clip(d, w, m))
         return float(out) if scalar else out
     return checked

@@ -43,9 +43,12 @@ def _omega_pieces(gamma, a, b):
         ka = t / a
         kb = t / b
 
+    # at parameter 0 the corner (0, 1) meets every O2 inequality with equality,
+    # but O2's value there is 1/2, not the grounded 0; it is the only corner
+    # point O2 ever holds at, so it is excluded (and (1, 0) from O8)
     masks = [
         (a <= 0.5) & (2.0 * b >= 1.0 + ha) & (b <= 1.0 - ia),
-        ((2.0 * b <= 1.0 + ha)
+        (((a > 0.0) | (b < 1.0)) & (2.0 * b <= 1.0 + ha)
          & ((1.0 + 2.0 * a - 2.0 * b) ** 2 + 4.0 * a * (1.0 - b) >= t)
          & (6.0 * b >= 2.0 * a + 2.0 + sa)
          & (4.0 * b >= 6.0 * a - 1.0 + ha)),
@@ -65,7 +68,7 @@ def _omega_pieces(gamma, a, b):
         ((6.0 * a <= 2.0 * b + 2.0 + sb)
          & (8.0 * a <= 3.0 * b + 6.0 - kb)
          & (11.0 * b <= 3.0 + 5.0 * a - qa)),
-        ((2.0 * a <= 1.0 + hb)
+        (((b > 0.0) | (a < 1.0)) & (2.0 * a <= 1.0 + hb)
          & ((1.0 - 2.0 * a + 2.0 * b) ** 2 + 4.0 * b * (1.0 - a) >= t)
          & (6.0 * a >= 2.0 * b + 2.0 + sb)
          & (4.0 * a >= 6.0 * b - 1.0 + hb)),

@@ -176,6 +176,13 @@ def test_anchor_value_range_enforced():
         cb.f_upper(0.6, 0.7, 0.25)
     with pytest.raises(cb.OutOfRangeError):
         cb.g_lower(0.3, 0.4, -0.05)
+    nan = float("nan")
+    for measure in (cb.f_lower, cb.f_upper, cb.g_lower, cb.g_upper):
+        for anchor in ((0.5, 0.5, nan), (nan, 0.5, 0.2), (0.5, nan, 0.2)):
+            with pytest.raises(cb.OutOfRangeError):
+                measure(*anchor)
+        with pytest.raises(cb.OutOfRangeError):
+            measure(np.array([0.4, 0.5]), np.array([0.5, 0.5]), np.array([0.2, nan]))
 
 
 def test_measures_of_extremal_family_match_quadrature():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import copulabounds as cb
+from copulabounds import effectiveness
 
 
 def test_coinciding_bounds_score_one():
@@ -59,3 +60,32 @@ def test_parameter_validation():
         cb.effectiveness_score("tau", 0.0, 128)
     with pytest.raises(ValueError):
         cb.effectiveness_score("gini", 0.0, 63)
+
+
+def _full_grid_score(kind, k, n):
+    """Reference: plain Simpson sum of |upper - lower| over all (n+1)^2 nodes."""
+    upper, lower = effectiveness._bounds_for(kind, k)
+    t = np.arange(n + 1) / n
+    w = cb.simpson_weights(n)
+    gap = np.abs(upper(t[:, None], t[None, :]) - lower(t[:, None], t[None, :]))
+    return 1.0 - 6.0 * float(w @ gap @ w)
+
+
+@pytest.mark.parametrize("n", [64, 66, 128])
+def test_quarter_fold_matches_full_grid(n):
+    # 66 ends in a partial strip; the diagonal, anti-diagonal and centre
+    # weights are only right if every k agrees
+    cases = ([("footrule", k) for k in cb.FOOTRULE_TABLE_KS + (-0.35, 0.22)]
+             + [("gini", k) for k in cb.GINI_TABLE_KS + (-0.95, -0.6, 0.45)])
+    for kind, k in cases:
+        assert cb.effectiveness_score(kind, k, n).m == pytest.approx(
+            _full_grid_score(kind, k, n), abs=1e-12), (kind, k)
+
+
+def test_swapped_envelopes_raise(monkeypatch):
+    bounds_for = effectiveness._bounds_for
+    monkeypatch.setattr(effectiveness, "_bounds_for",
+                        lambda kind, k: bounds_for(kind, k)[::-1])
+    for kind in ("footrule", "gini"):
+        with pytest.raises(RuntimeError, match="bound ordering violated"):
+            cb.effectiveness_score(kind, 0.2, 64)
