@@ -416,8 +416,8 @@ def check_quasicopula(func, n: int = 200, tol: float = 1e-9) -> AxiomReport:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     t = grid_nodes(n)
     vals = func(t[:, None], t[None, :])
     mesh = 1.0 / n
@@ -539,6 +539,8 @@ class CheckerboardCopula(BivariateFunction):
 
 DERIV_STEP = 1e-6
 MONO_TOL = 1e-7
+PROBE_LEVELS = 32  # probe levels k/32, the midpoints of the first five bisection steps
+PROBE_BLOCK = 16_000  # sample points times levels per probe call
 
 
 def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np.ndarray:
@@ -548,40 +550,59 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     (C(u + h, v) - C(u, v)) / h with h = ``DERIV_STEP`` (the stencil shifts
     left at the right edge), inverted by bisection until the bracket is
     below ``inv_tol``. No density is required, so singular copulas work.
-    The conditional CDF is probed on a coarse grid first; a decrease beyond
-    ``MONO_TOL`` raises NotMonotoneError (the function is then not
-    2-increasing and has no conditional distribution to invert).
+
+    The conditional CDF is first probed at the levels k/32, k = 1..32. Each
+    probe call broadcasts the stacked pair (u + h, u), shape (2, 1, count),
+    against a block of levels, shape (L, 1), so terms of u alone cost
+    2 * count elements and terms of v alone L. A block holds
+    ``PROBE_BLOCK // count`` levels, clipped to 1..32 (8 at 2000 points),
+    which bounds the size of each call. A decrease beyond ``MONO_TOL``
+    between consecutive levels raises NotMonotoneError (the function is then
+    not 2-increasing and has no conditional distribution to invert). The
+    levels are the midpoints of the first five bisection steps, so those
+    steps are lookups in the probe table; each later step is one call on the
+    stacked pair. Every comparison sees the same doubles as one call per
+    level and per side would, so the output does not depend on the blocking.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if inv_tol <= 0:
-        raise ValueError("inv_tol must be positive")
+    if not 0.0 < inv_tol < np.inf:
+        raise ValueError("inv_tol must be positive and finite")
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     p = rng.random(count)
     h = DERIV_STEP
     base = np.minimum(u, 1.0 - h)
+    x = np.stack([base + h, base])
 
-    def cond(v):
-        return (func(base + h, v) - func(base, v)) / h
+    def cond(pair, v):
+        f = func(pair, v)
+        return (f[0] - f[1]) / h
 
-    prev = np.zeros(count)
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, 33)[1:]:
-        cur = cond(np.full(count, t))
-        worst = min(worst, float((cur - prev).min()))
-        prev = cur
+    levels = grid_nodes(PROBE_LEVELS)[1:, None]
+    block = min(max(PROBE_BLOCK // count, 1), PROBE_LEVELS)
+    probe = np.concatenate([cond(x[:, None], levels[i:i + block])
+                            for i in range(0, PROBE_LEVELS, block)])
+    # largest drop between consecutive levels, from 0 below the first; a level
+    # holding a NaN drops out of the fold
+    worst = min([0.0, *np.diff(probe, axis=0, prepend=0.0).min(axis=1).tolist()])
     if worst < -MONO_TOL:
         raise NotMonotoneError(
             f"conditional CDF decreases by {-worst:.3g} (> {MONO_TOL:g}); "
             "the evaluator is not 2-increasing"
         )
 
-    lo = np.zeros(count)
-    hi = np.ones(count)
+    # bracket [lo, lo + width] in units of 1/32 while its midpoint is a level
+    lo = np.zeros(count, dtype=np.intp)
+    width = PROBE_LEVELS
+    while width > 1 and width / PROBE_LEVELS > inv_tol:
+        width //= 2
+        lo += np.where(probe[lo + width - 1, np.arange(count)] < p, width, 0)
+    hi = (lo + width) / PROBE_LEVELS
+    lo = lo / PROBE_LEVELS
     while float((hi - lo).max()) > inv_tol:
         mid = 0.5 * (lo + hi)
-        take = cond(mid) < p
+        take = cond(x, mid) < p
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
     return np.column_stack([u, 0.5 * (lo + hi)])

@@ -146,7 +146,8 @@ def test_parse_errors_exit_two(capsys):
 def test_semantic_errors_exit_three(capsys):
     for argv in ("grid f-lower 2.0 4", "eval phi extremal:lower,0.5,0.5,0.6", "sample M 0 1",
                  "eval phi M --n 3", "check M 1", "sample M 10 -1", "table1 --n 63",
-                 "check extremal:lower,0.3,0.5,nan"):
+                 "check extremal:lower,0.3,0.5,nan",
+                 "check M 20 nan", "check M 20 inf"):
         code, out, _ = run_cli(capsys, *argv.split())
         assert (code, out) == (3, ""), argv
 

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import copulabounds as cb
+from copulabounds import cli
 
 GRID = np.arange(81) / 80
 U, V = GRID[:, None], GRID[None, :]
@@ -242,6 +245,9 @@ def test_check_quasicopula_validates_arguments():
         cb.check_quasicopula(cb.W, n=1)
     with pytest.raises(ValueError):
         cb.check_quasicopula(cb.W, n=10, tol=0.0)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            cb.check_quasicopula(cb.M, n=20, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +360,12 @@ def test_sample_conditional_lower_footrule_support():
 
 
 def test_sample_conditional_rejects_quasi_copula():
-    with pytest.raises(cb.NotMonotoneError):
-        cb.sample_conditional(cb.FootruleUpperBound(0.0), 500, 3)
+    for spec, drop in (("f-upper:0.0", "0.0208"), ("g-upper:-0.5", "0.0051"),
+                       ("g-lower:0.3", "0.00267")):
+        with pytest.raises(cb.NotMonotoneError) as exc:
+            cb.sample_conditional(cli.parse_copula_spec(spec), 500, 3)
+        assert str(exc.value) == (f"conditional CDF decreases by {drop} (> 1e-07); "
+                                  "the evaluator is not 2-increasing"), spec
 
 
 def test_sample_conditional_is_deterministic():
@@ -364,3 +374,34 @@ def test_sample_conditional_is_deterministic():
     assert np.array_equal(one, two)
     with pytest.raises(ValueError):
         cb.sample_conditional(cb.PI, 0, 1)
+
+
+@pytest.mark.parametrize("inv_tol", [np.nan, np.inf, 0.0, -1.0])
+def test_sample_conditional_rejects_bad_tolerance(inv_tol):
+    with pytest.raises(ValueError):
+        cb.sample_conditional(cb.PI, 5, 1, inv_tol=inv_tol)
+
+
+# SHA-256 over the output bytes of every (count, inv_tol) pair below, in
+# order, at seed 17. inv_tol 0.05, 0.0625 and 0.3 stop within the first five
+# bisection steps, and 0.0625 = 2^-4 equals a bracket width exactly.
+PINNED_SAMPLES = (
+    ("g-upper:0.0", "43778f86517209068a20810c2cb90100c254adc50f63ecfb24cbf597d2937970"),
+    ("g-upper:0.3", "c42342654bc373d0a159f00a1cd2c553b8593c89b212f53887527fbb78c9cca3"),
+    ("g-upper:0.499", "1e8d603840b8c275a8a2a8c7f736fa6b01db66c704784470596fc68e86fba349"),
+    ("g-lower:-0.3", "c6f3eabd6663d325fcdbc0daed72a7b728ab9daf5ac829c7dfa1b7365f54b41b"),
+    ("g-lower:0.0", "983205029aa0c0ecff9c902304114bd67b11eea4aaf2c27f76fd14238e06f29b"),
+    ("f-lower:0.25", "422e253e38715e1506c35f45e82238967ec61fdb4c3b23e0b811437ca1c84a42"),
+    ("Pi", "6b5816aa7fb07fe43028328c01e82192d69188ca4bc26f207d408e7a7d931f1b"),
+    ("M", "d5bdabbdd66ae3ae6d2d273dc506f85a8e04e497b1e1d5b4748fb53f7b09e845"),
+)
+
+
+@pytest.mark.parametrize("spec,digest", PINNED_SAMPLES, ids=[s for s, _ in PINNED_SAMPLES])
+def test_sample_conditional_bytes_are_pinned(spec, digest):
+    func = cli.parse_copula_spec(spec)
+    sha = hashlib.sha256()
+    for count in (1, 7, 2000):
+        for inv_tol in (1e-6, 1e-5, 0.05, 0.0625, 0.3):
+            sha.update(cb.sample_conditional(func, count, 17, inv_tol=inv_tol).tobytes())
+    assert sha.hexdigest() == digest

@@ -1,8 +1,10 @@
 """Properties shared by the footrule and gamma envelopes: the raw piece
-values respect the Frechet band where they are selected, and the envelopes
-bound every extremal copula with the same measure value."""
+values respect the Frechet band where they are selected, the envelopes
+bound every extremal copula with the same measure value, and extremal
+copulas attain them pointwise."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import copulabounds as cb
@@ -75,3 +77,25 @@ def test_extremal_copulas_lie_between_the_envelopes(a, b, frac, kind):
         k = (of_lower if kind == "lower" else of_upper)(a, b, spec.anchor_value)
         assert np.all(lower(k - K_SLACK)(U, V) <= copula + 1e-12), (kind, k)
         assert np.all(copula <= upper(k + K_SLACK)(U, V) + 1e-12), (kind, k)
+
+
+@pytest.mark.parametrize("of_lower,of_upper,lower,upper,lower_ks,upper_ks", [
+    (*ENVELOPES[0], (-0.45, -0.2, 0.0, 0.3, 0.6, 0.9), (-0.45, -0.3, -0.1, 0.0, 0.1, 0.2)),
+    (*ENVELOPES[1], (-0.45, -0.2, 0.0, 0.3, 0.6, 0.9), (-0.9, -0.6, -0.3, 0.0, 0.2, 0.4)),
+], ids=["footrule", "gini"])
+def test_envelopes_are_attained_pointwise(of_lower, of_upper, lower, upper, lower_ks, upper_ks):
+    """Where upper(k) lies below M, the least copula taking that value at the
+    point has measure exactly k; where lower(k) lies above W, the greatest
+    copula taking that value there has measure exactly k."""
+    u, v = POINTS
+    w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
+    for k in upper_ks:
+        value = upper(k)(u, v)
+        sel = value < m - 1e-9
+        assert sel.sum() >= 100, k
+        np.testing.assert_allclose(of_lower(u[sel], v[sel], value[sel]), k, rtol=0, atol=1e-12)
+    for k in lower_ks:
+        value = lower(k)(u, v)
+        sel = value > w + 1e-9
+        assert sel.sum() >= 100, k
+        np.testing.assert_allclose(of_upper(u[sel], v[sel], value[sel]), k, rtol=0, atol=1e-12)
