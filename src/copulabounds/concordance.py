@@ -5,7 +5,8 @@ beta) by line quadrature or exact evaluation, a discrete Stieltjes
 concordance integral against gridded copulas, closed forms of the
 concordance integral on the extremal-copula families, and the piecewise
 value of footrule/gamma on those families as a function of the anchored
-value.
+value; on the lower family both come from one pair of concordances,
+phi = (3 Q(C, M) - 1) / 2 and gamma = Q(C, M) + Q(C, W).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtremalSpec, GridFunction, OutOfRangeError, grid_nodes
+from .core import ExtremalSpec, GridFunction, OutOfRangeError, _first_match, grid_nodes
 
 FOOTRULE_RANGE = (-0.5, 1.0)
 GINI_RANGE = (-1.0, 1.0)
@@ -188,26 +189,28 @@ def _triangle_frame(a, b, d):
     return lo, hi, np.clip(d1, 0.0, lo)
 
 
+def _q_lower(a, b, d):
+    """Q(C, M) and Q(C, W) of the least copula C with value d at (a, b).
+
+    Both are invariant under the moves of ``_triangle_frame``; on its
+    reference triangle the nine pieces of ``q_m_extremal_lower`` reduce to
+    four.
+    """
+    a, b, d = _triangle_frame(a, b, d)
+    q_m = _first_match([b >= d + 0.5, 2.0 * b >= 1.0 + d, b >= a + d],
+                       [0.0, (2.0 * d + 1.0 - 2.0 * b) ** 2, d * (2.0 + 3.0 * d - 4.0 * b)],
+                       2.0 * d * (1.0 + d - a - b) - (b - a) ** 2)
+    return q_m, 4.0 * d * (1.0 - a - b + d) - 1.0
+
+
 @_anchored
 def f_lower(a, b, d):
-    """Footrule of the least copula with value d at (a, b).
+    """Footrule of the least copula with value d at (a, b): (3 Q(C, M) - 1) / 2.
 
     Piecewise in d, nondecreasing, with range [-1/2, f_lower(a, b, M(a,b))].
     """
-    aa, bb, dd = _triangle_frame(a, b, d)
-    return np.where(
-        bb >= dd + 0.5,
-        -0.5,
-        np.where(
-            2.0 * bb >= 1.0 + dd,
-            1.5 * (2.0 * dd + 1.0 - 2.0 * bb) ** 2 - 0.5,
-            np.where(
-                bb >= aa + dd,
-                1.5 * dd * (2.0 + 3.0 * dd - 4.0 * bb) - 0.5,
-                3.0 * dd * (1.0 + dd - aa - bb) - 1.5 * (bb - aa) ** 2 - 0.5,
-            ),
-        ),
-    )
+    q_m, _ = _q_lower(a, b, d)
+    return 1.5 * q_m - 0.5
 
 
 @_anchored
@@ -218,22 +221,10 @@ def f_upper(a, b, d):
 
 @_anchored
 def g_lower(a, b, d):
-    """Gini gamma of the least copula with value d at (a, b); nondecreasing in d."""
-    aa, bb, dd = _triangle_frame(a, b, d)
-    base = 4.0 * dd * (1.0 - aa - bb + dd) - 1.0
-    return np.where(
-        bb >= dd + 0.5,
-        base,
-        np.where(
-            2.0 * bb >= 1.0 + dd,
-            (1.0 - 2.0 * bb + 2.0 * dd) ** 2 + base,
-            np.where(
-                bb >= aa + dd,
-                dd * (6.0 - 4.0 * aa - 8.0 * bb + 7.0 * dd) - 1.0,
-                6.0 * dd * (1.0 - aa - bb + dd) - (aa - bb) ** 2 - 1.0,
-            ),
-        ),
-    )
+    """Gini gamma of the least copula with value d at (a, b): Q(C, M) + Q(C, W);
+    nondecreasing in d."""
+    q_m, q_w = _q_lower(a, b, d)
+    return q_m + q_w
 
 
 @_anchored

@@ -302,10 +302,11 @@ class ShuffleSpec:
         n = len(cuts) - 1
         if n < 1:
             raise InvalidSpecError("need at least one piece")
-        if abs(cuts[0]) > UNIT_SLACK or abs(cuts[-1] - 1.0) > UNIT_SLACK:
+        # both tests are written so that a NaN cut fails them
+        if not (abs(cuts[0]) <= UNIT_SLACK and abs(cuts[-1] - 1.0) <= UNIT_SLACK):
             raise InvalidSpecError("cuts must run from 0 to 1")
         cuts = (0.0,) + cuts[1:-1] + (1.0,)
-        if any(cuts[i + 1] <= cuts[i] for i in range(n)):
+        if not all(cuts[i] < cuts[i + 1] for i in range(n)):
             raise InvalidSpecError("cuts must be strictly increasing")
         perm = tuple(int(p) for p in self.permutation)
         if sorted(perm) != list(range(1, n + 1)):
@@ -465,8 +466,8 @@ class GridFunction:
         values = np.asarray(self.values, dtype=float)
         if self.n < 2 or values.shape != (self.n + 1, self.n + 1):
             raise ValueError(f"values must have shape ({self.n + 1}, {self.n + 1})")
-        if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
-            raise ValueError("grid values must lie in [0, 1]")
+        if not (values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9):
+            raise ValueError("grid values must lie in [0, 1] and not be NaN")
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -495,11 +496,11 @@ class CheckerboardCopula(BivariateFunction):
         if masses.ndim != 2 or masses.shape[0] != masses.shape[1]:
             raise InvalidSpecError("masses must be a square matrix")
         n = masses.shape[0]
-        if masses.min() < -UNIT_SLACK:
-            raise InvalidSpecError("cell masses must be nonnegative")
+        if not masses.min() >= -UNIT_SLACK:
+            raise InvalidSpecError("cell masses must be nonnegative and not NaN")
         target = 1.0 / n
-        if (np.abs(masses.sum(axis=0) - target).max() > 1e-9
-                or np.abs(masses.sum(axis=1) - target).max() > 1e-9):
+        if not (np.abs(masses.sum(axis=0) - target).max() <= 1e-9
+                and np.abs(masses.sum(axis=1) - target).max() <= 1e-9):
             raise InvalidSpecError("rows and columns must each sum to 1/n")
         self.n = n
         self.masses = masses
@@ -549,7 +550,9 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     The conditional CDF at u is the forward difference
     (C(u + h, v) - C(u, v)) / h with h = ``DERIV_STEP`` (the stencil shifts
     left at the right edge), inverted by bisection until the bracket is
-    below ``inv_tol``. No density is required, so singular copulas work.
+    at most ``inv_tol``, which must be finite and at least 2**-53 (the
+    spacing of doubles in [1/2, 1)). No density is required, so singular
+    copulas work.
 
     The conditional CDF is first probed at the levels k/32, k = 1..32. Each
     probe call broadcasts the stacked pair (u + h, u), shape (2, 1, count),
@@ -566,8 +569,10 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not 0.0 < inv_tol < np.inf:
-        raise ValueError("inv_tol must be positive and finite")
+    # two adjacent doubles in [1/2, 1) lie 2**-53 apart and their midpoint is
+    # one of them, so a bracket that narrow cannot shrink any further
+    if not 2.0 ** -53 <= inv_tol < np.inf:
+        raise ValueError("inv_tol must be finite and at least 2**-53")
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     p = rng.random(count)

@@ -3,10 +3,10 @@
 The lower envelope has one closed form, active between the two hyperbolas
 u*v = (1-phi)/6 and (1-u)(1-v) = (1-phi)/6, and equals max(0, u+v-1)
 elsewhere; it is a copula for every parameter value. The upper envelope is
-piecewise over seven regions of the square (D1..D7) that deform and vanish
-as the parameter grows, equals min(u, v) outside them, and is a proper
-quasi-copula (not 2-increasing) for parameters strictly between -1/2 and
-1/4.
+piecewise over seven regions of the square (D1..D7, with D5..D7 the
+transposes of D3..D1) that deform and vanish as the parameter grows, equals
+min(u, v) outside them, and is a proper quasi-copula (not 2-increasing) for
+parameters strictly between -1/2 and 1/4.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .concordance import QuadratureConfig, spearman_footrule
 
 FOOTRULE_PARAM_RANGE = (-0.5, 1.0)
 
-REGION_NONE = 0
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
 
@@ -60,39 +59,42 @@ def footrule_lower_bound(phi, u, v):
 def _delta_pieces(phi, a, b):
     """Region masks D1..D7 and piece values, all evaluated everywhere.
 
-    Square roots whose argument can go negative outside the owning region
-    are clamped at zero; the masks never select those points.
+    D5..D7 are D3..D1 with the coordinates swapped: ``half`` writes the
+    masks of D1..D3 and one half of D4's mask, ``half_values`` the values of
+    D1..D3, and each is called again with a and b exchanged. Square roots
+    whose argument can go negative outside the owning region are clamped at
+    zero; the masks never select those points.
     """
     p2 = 1.0 + 2.0 * phi
     s = np.sqrt(p2 / 3.0)
-    ra = np.sqrt((2.0 * a - 1.0) ** 2 + p2)
-    rb = np.sqrt((2.0 * b - 1.0) ** 2 + p2)
     cap = 2.0 * (1.0 - phi) / 3.0
     lo_half = 0.5 * (1.0 - s)
     hi_half = 0.5 * (1.0 + s)
 
-    masks = [
-        (a <= lo_half) & (b >= hi_half) & (b <= a + lo_half),
-        (b <= hi_half) & (3.0 * a >= 2.0 * b - 1.0 + rb) & (3.0 * a <= b + 1.0 - rb),
-        (a >= lo_half) & (3.0 * b >= a + 1.0 + ra) & (3.0 * b <= 2.0 * a + 2.0 - ra),
-        ((3.0 * a >= b + 1.0 - rb) & (3.0 * a <= b + 1.0 + rb)
-         & (3.0 * b >= a + 1.0 - ra) & (3.0 * b <= a + 1.0 + ra)
-         & (a ** 2 <= cap - (b - 1.0) ** 2) & (b ** 2 <= cap - (a - 1.0) ** 2)),
-        (b >= lo_half) & (3.0 * a >= b + 1.0 + rb) & (3.0 * a <= 2.0 * b + 2.0 - rb),
-        (a <= hi_half) & (3.0 * b >= 2.0 * a - 1.0 + ra) & (3.0 * b <= a + 1.0 - ra),
-        (b <= lo_half) & (a >= hi_half) & (b >= a - lo_half),
-    ]
+    def half(a, b, ra, rb):
+        masks = [
+            (a <= lo_half) & (b >= hi_half) & (b <= a + lo_half),
+            (b <= hi_half) & (3.0 * a >= 2.0 * b - 1.0 + rb) & (3.0 * a <= b + 1.0 - rb),
+            (a >= lo_half) & (3.0 * b >= a + 1.0 + ra) & (3.0 * b <= 2.0 * a + 2.0 - ra),
+        ]
+        centre = ((3.0 * a >= b + 1.0 - rb) & (3.0 * a <= b + 1.0 + rb)
+                  & (a ** 2 <= cap - (b - 1.0) ** 2))
+        return masks, centre
+
+    def half_values(a, b, ra, rb):
+        return [0.5 * (2.0 * b - 1.0 + s),
+                (2.0 * b - 1.0 + rb) / 3.0,
+                (a + 3.0 * b - 2.0 + ra) / 3.0]
+
+    ra = np.sqrt((2.0 * a - 1.0) ** 2 + p2)
+    rb = np.sqrt((2.0 * b - 1.0) ** 2 + p2)
+    # all masks before any value: interleaving them ran 5% slower per block
+    masks, centre = half(a, b, ra, rb)
+    masks_t, centre_t = half(b, a, rb, ra)
     g4_arg = 3.0 * (b - a) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * p2 / 3.0
-    values = [
-        0.5 * (2.0 * b - 1.0 + s),
-        (2.0 * b - 1.0 + rb) / 3.0,
-        (a + 3.0 * b - 2.0 + ra) / 3.0,
-        0.5 * (a + b - 1.0 + np.sqrt(np.maximum(g4_arg, 0.0))),
-        (3.0 * a + b - 2.0 + rb) / 3.0,
-        (2.0 * a - 1.0 + ra) / 3.0,
-        0.5 * (2.0 * a - 1.0 + s),
-    ]
-    return masks, values
+    g4 = 0.5 * (a + b - 1.0 + np.sqrt(np.maximum(g4_arg, 0.0)))
+    return ([*masks, centre & centre_t, *masks_t[::-1]],
+            [*half_values(a, b, ra, rb), g4, *half_values(b, a, rb, ra)[::-1]])
 
 
 def delta_region(phi, u, v):

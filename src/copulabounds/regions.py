@@ -3,7 +3,9 @@
 Each range function returns the closed interval of one measure given the
 other; the boundary curves are mutually inverse monotone maps, and every
 boundary point is attained by an extremal copula anchored at the centre of
-the square.
+the square. Both measures share these curves: the beta interval comes from
+one formula in two arguments, and the gamma interval given beta is the
+footrule interval with its lower end doubled.
 """
 
 from __future__ import annotations
@@ -19,15 +21,17 @@ class KindMismatchError(ValueError):
     """The pair's first component is not a footrule or gamma value."""
 
 
+def _beta_range(lo_k, hi_k) -> tuple[float, float]:
+    """The beta interval (1 - 2 sqrt(2 (1 - lo_k) / 3), -1 + 2 sqrt(2 (1 + hi_k) / 3))
+    clipped to [-1, 1]; footrule passes (phi, 2 phi) and gamma (gamma, gamma)."""
+    return (max(1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - lo_k) / 3.0)), -1.0),
+            min(-1.0 + 2.0 * float(np.sqrt(2.0 * (1.0 + hi_k) / 3.0)), 1.0))
+
+
 def beta_range_given_footrule(phi) -> tuple[float, float]:
     """Closed interval of beta over all copulas with footrule ``phi``."""
     phi = _check_range(phi, -0.5, 1.0, "footrule")
-    lo = 1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - phi) / 3.0))
-    if phi >= 0.25:
-        hi = 1.0
-    else:
-        hi = -1.0 + 2.0 * float(np.sqrt(2.0 * (1.0 + 2.0 * phi) / 3.0))
-    return max(lo, -1.0), min(hi, 1.0)
+    return _beta_range(phi, 2.0 * phi)
 
 
 def footrule_range_given_beta(beta) -> tuple[float, float]:
@@ -41,23 +45,14 @@ def footrule_range_given_beta(beta) -> tuple[float, float]:
 def beta_range_given_gini(gamma) -> tuple[float, float]:
     """Closed interval of beta over all copulas with gamma ``gamma``."""
     gamma = _check_range(gamma, -1.0, 1.0, "gamma")
-    if gamma <= -0.5:
-        lo = -1.0
-    else:
-        lo = 1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - gamma) / 3.0))
-    if gamma >= 0.5:
-        hi = 1.0
-    else:
-        hi = -1.0 + 2.0 * float(np.sqrt(2.0 * (1.0 + gamma) / 3.0))
-    return max(lo, -1.0), min(hi, 1.0)
+    return _beta_range(gamma, gamma)
 
 
 def gini_range_given_beta(beta) -> tuple[float, float]:
-    """Closed interval of gamma over all copulas with beta ``beta``."""
-    beta = _check_range(beta, -1.0, 1.0, "beta")
-    lo = 3.0 * (1.0 + beta) ** 2 / 8.0 - 1.0
-    hi = 1.0 - 3.0 * (1.0 - beta) ** 2 / 8.0
-    return lo, hi
+    """Closed interval of gamma over all copulas with beta ``beta``: twice the
+    footrule's lower end, and the same upper end."""
+    lo, hi = footrule_range_given_beta(beta)
+    return 2.0 * lo, hi
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,10 @@ def test_shuffle_file_errors(tmp_path, capsys):
     path.write_text("0.0,0.4,2,1\n0.5,1.0,1,1\n")
     assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[0] == 2
     assert run_cli(capsys, "eval", "phi", "shuffle:/nonexistent/file")[0] == 2
+    # NaN cuts are a semantic rejection, not a silent nan or a cut replaced by 0
+    for text in ("0.0,nan,2,1\nnan,1.0,1,1\n", "nan,0.5,2,1\n0.5,1.0,1,1\n"):
+        path.write_text(text)
+        assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[:2] == (3, ""), text
 
 
 def test_identical_invocations_are_byte_identical(capsys):
@@ -227,6 +231,10 @@ PINNED_STDOUT = (
     ("eval gamma f-upper:-0.3 --n 256", "1f0baecf3b9dfeb328345d22575f4f36df5b50be4809ae3ff9aa58a5d9de7c15"),
     ("eval beta g-lower:0.3", "d842fd3332915672e694fbd801d96b92c78ee672961908f199ef56ce84b9a967"),
     ("table1 --n 64", "3501e35e288560708433335a0c35457f714e5f6cd9e9cdcd268b24750c5eb988"),
+    # region labels of every piece: D1..D7, O1..O9 and the reflected O1..O9
+    ("grid f-upper -0.45 40", "cd910dd2274c786fd2d3abcd894a71f62d15b44f314ba12fbd6c4cae0362bafc"),
+    ("grid g-upper -0.85 40", "47f7d7e76282456a9c1ddcd50a03149cb907a94859f747eaf3fae2f28900f228"),
+    ("grid g-lower 0.85 40", "8318f113cddffe59864305c652696325f221f9fe9c953b6c2133dcbf6caadb5c"),
 )
 
 

@@ -263,6 +263,9 @@ def test_shuffle_spec_validation():
         cb.ShuffleSpec((0.0, 0.5, 1.0), (1, 1), (1, 1))
     with pytest.raises(cb.InvalidSpecError):
         cb.ShuffleSpec((0.0, 0.5, 1.0), (2, 1), (1, 0))
+    for cuts in ((0.0, np.nan, 1.0), (np.nan, 0.5, 1.0), (0.0, 0.5, np.nan)):
+        with pytest.raises(cb.InvalidSpecError):
+            cb.ShuffleSpec(cuts, (2, 1), (1, 1))
 
 
 def test_identity_and_reversal_shuffles():
@@ -313,6 +316,8 @@ def test_grid_function_validation():
         cb.GridFunction(4, np.zeros((4, 4)))
     with pytest.raises(ValueError):
         cb.GridFunction(2, np.full((3, 3), 2.0))
+    with pytest.raises(ValueError):
+        cb.GridFunction(2, np.full((3, 3), np.nan))
 
 
 def test_checkerboard_is_a_copula():
@@ -324,6 +329,11 @@ def test_checkerboard_is_a_copula():
 def test_checkerboard_rejects_unbalanced_masses():
     with pytest.raises(cb.InvalidSpecError):
         cb.CheckerboardCopula(np.ones((4, 4)))
+    masses = np.full((2, 2), 0.25)
+    masses[0, 0] = np.nan
+    for bad in (np.full((2, 2), np.nan), masses):
+        with pytest.raises(cb.InvalidSpecError):
+            cb.CheckerboardCopula(bad)
 
 
 def test_checkerboard_random_is_deterministic():
@@ -376,10 +386,16 @@ def test_sample_conditional_is_deterministic():
         cb.sample_conditional(cb.PI, 0, 1)
 
 
-@pytest.mark.parametrize("inv_tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("inv_tol", [np.nan, np.inf, 0.0, -1.0, 1e-17, 2.0 ** -54])
 def test_sample_conditional_rejects_bad_tolerance(inv_tol):
     with pytest.raises(ValueError):
         cb.sample_conditional(cb.PI, 5, 1, inv_tol=inv_tol)
+
+
+def test_sample_conditional_finest_tolerance_terminates():
+    # brackets end as adjacent doubles; at 2**-53 those above 1/2 are narrow enough
+    pts = cb.sample_conditional(cb.PI, 2000, 1, inv_tol=2.0 ** -53)
+    assert pts.shape == (2000, 2) and np.all((pts >= 0.0) & (pts <= 1.0))
 
 
 # SHA-256 over the output bytes of every (count, inv_tol) pair below, in

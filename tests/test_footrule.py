@@ -47,6 +47,9 @@ def test_delta_region_examples():
     assert cb.delta_region(-0.5, 0.1, 0.8) == 0
     assert cb.footrule_upper_bound(-0.5, 0.1, 0.8) == pytest.approx(cb.M(0.1, 0.8), abs=1e-15)
     assert cb.delta_region(-0.5, 0.1, 0.55) == 1
+    # D7 is D1 transposed, so the transpose of a D1 node on D1's edge is in D7
+    assert cb.delta_region(-0.5, 0.3, 0.8) == 1
+    assert cb.delta_region(-0.5, 0.8, 0.3) == 7
 
 
 def test_delta_region_dynamics():
@@ -60,6 +63,14 @@ def test_delta_region_dynamics():
     assert present(-0.30) == {2, 3, 4, 5, 6}
     assert present(-0.15) == {4}
     assert present(0.30) == set()
+
+
+def test_delta_transpose_index_map():
+    rng = np.random.default_rng(53)
+    swap = np.array([0, 7, 6, 5, 4, 3, 2, 1])
+    for phi in (-0.5, -0.45, -0.35, -0.2, 0.0, 0.2):
+        a, b = rng.random(20000), rng.random(20000)
+        assert np.array_equal(swap[cb.delta_region(phi, a, b)], cb.delta_region(phi, b, a))
 
 
 def test_bounds_are_ordered_and_sandwiched():
