@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import concordance, core, effectiveness, footrule, gini, regions
+from . import concordance, core, effectiveness, regions
 
 
 class SpecParseError(ValueError):
@@ -49,23 +49,6 @@ class CsvTable:
     def render(self) -> str:
         rows = zip(*(_format_column(np.asarray(col)) for col in self.columns))
         return "\n".join([",".join(self.header), *map(",".join, rows)]) + "\n"
-
-
-ENVELOPES = {
-    "f-lower": footrule.FootruleLowerBound,
-    "f-upper": footrule.FootruleUpperBound,
-    "g-lower": gini.GiniLowerBound,
-    "g-upper": gini.GiniUpperBound,
-}
-
-# region codes of (param, u, v) and their labels, per bound; the lower gamma
-# envelope is governed by the reflected upper piece
-REGION_CODES = {
-    "f-lower": (lambda phi, u, v: np.zeros(np.shape(u), dtype=int), footrule.DELTA_LABELS),
-    "f-upper": (footrule.delta_region, footrule.DELTA_LABELS),
-    "g-lower": (lambda gamma, u, v: gini.omega_region(-gamma, u, 1.0 - v), gini.OMEGA_LABELS),
-    "g-upper": (gini.omega_region, gini.OMEGA_LABELS),
-}
 
 
 def _load_shuffle(path: str) -> core.ShuffleSpec:
@@ -126,9 +109,9 @@ def parse_copula_spec(text: str) -> core.BivariateFunction:
         param = float(rest)
     except ValueError as exc:
         raise SpecParseError(f"bad parameter in spec {text!r}") from exc
-    if name not in ENVELOPES:
+    if name not in effectiveness.ENVELOPES:
         raise SpecParseError(f"unknown copula spec {text!r}")
-    return ENVELOPES[name](param)
+    return effectiveness.ENVELOPES[name](param)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +133,10 @@ def cmd_eval(args) -> CsvTable:
 def cmd_grid(args) -> CsvTable:
     if args.n < 2:
         raise core.OutOfRangeError("grid resolution must be >= 2")
-    func = ENVELOPES[args.bound](args.param)
-    region_codes, labels = REGION_CODES[args.bound]
+    func = effectiveness.ENVELOPES[args.bound](args.param)
     t = core.grid_nodes(args.n)
     a, b = np.repeat(t, args.n + 1), np.tile(t, args.n + 1)
-    regions_col = np.asarray(labels)[region_codes(args.param, a, b)]
+    regions_col = np.asarray(func.LABELS)[func._region_codes(a, b)]
     return CsvTable(["a", "b", "value", "region"], [a, b, func(a, b), regions_col])
 
 
@@ -168,11 +150,11 @@ def cmd_region(args) -> CsvTable:
     if not (0.0 < args.step <= 0.1):
         raise core.OutOfRangeError("step must lie in (0, 0.1]")
     if args.pair == "phi-beta":
-        lo_k, range_fn = -0.5, regions.beta_range_given_footrule
+        (lo_k, hi_k), range_fn = concordance.FOOTRULE_RANGE, regions.beta_range_given_footrule
     else:
-        lo_k, range_fn = -1.0, regions.beta_range_given_gini
-    count = int(round((1.0 - lo_k) / args.step))
-    ks = np.minimum(lo_k + args.step * np.arange(count + 1), 1.0)
+        (lo_k, hi_k), range_fn = concordance.GINI_RANGE, regions.beta_range_given_gini
+    count = int(round((hi_k - lo_k) / args.step))
+    ks = np.minimum(lo_k + args.step * np.arange(count + 1), hi_k)
     beta_lo, beta_hi = zip(*(range_fn(k) for k in ks.tolist()))
     return CsvTable(["k", "beta_lo", "beta_hi"], [ks, beta_lo, beta_hi])
 
@@ -236,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="tabulate an envelope on an n x n node grid")
-    p.add_argument("bound", choices=list(ENVELOPES))
+    p.add_argument("bound", choices=list(effectiveness.ENVELOPES))
     p.add_argument("param", type=float)
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_grid)

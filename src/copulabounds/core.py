@@ -282,6 +282,19 @@ def extremal_value(spec: ExtremalSpec, u, v):
 # Shuffles of min
 # ---------------------------------------------------------------------------
 
+def _whole_numbers(values, what) -> tuple:
+    """``values`` as ints; an entry that is not a whole number (a fraction, an
+    infinity, NaN, a string) raises InvalidSpecError instead of being truncated."""
+    values = tuple(values)
+    try:
+        ints = tuple(int(x) for x in values)
+    except (OverflowError, ValueError):
+        ints = None
+    if ints != values:
+        raise InvalidSpecError(f"{what} entries must be whole numbers, got {values}")
+    return ints
+
+
 @dataclass(frozen=True)
 class ShuffleSpec:
     """Piecewise rearrangement of the comonotone copula.
@@ -308,10 +321,10 @@ class ShuffleSpec:
         cuts = (0.0,) + cuts[1:-1] + (1.0,)
         if not all(cuts[i] < cuts[i + 1] for i in range(n)):
             raise InvalidSpecError("cuts must be strictly increasing")
-        perm = tuple(int(p) for p in self.permutation)
+        perm = _whole_numbers(self.permutation, "permutation")
         if sorted(perm) != list(range(1, n + 1)):
             raise InvalidSpecError(f"permutation {perm} is not a bijection on 1..{n}")
-        orient = tuple(int(o) for o in self.orientations)
+        orient = _whole_numbers(self.orientations, "orientation")
         if len(orient) != n or any(o not in (-1, 1) for o in orient):
             raise InvalidSpecError("orientations must be one sign (+1 or -1) per piece")
         object.__setattr__(self, "cuts", cuts)

@@ -14,9 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BivariateFunction, _check_range, _first_match, _on_unit
-from .concordance import QuadratureConfig, spearman_footrule
-
-FOOTRULE_PARAM_RANGE = (-0.5, 1.0)
+from .concordance import FOOTRULE_RANGE, QuadratureConfig, spearman_footrule
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
@@ -24,7 +22,7 @@ DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 def hyperbola_halfwidth(phi) -> float:
     """Half-length of the diagonal span where the lower envelope's singular
     arcs leave the anti-diagonal: sqrt(3 (1 + 2 phi)) / 6."""
-    phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
+    phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
     return float(np.sqrt(3.0 * (1.0 + 2.0 * phi)) / 6.0)
 
 
@@ -32,8 +30,10 @@ class FootruleLowerBound(BivariateFunction):
     """Least value at (u, v) among all copulas with the given footrule;
     always a copula."""
 
+    LABELS = ("none",)
+
     def __init__(self, phi):
-        self.phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
+        self.phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
         self.label = f"f-lower:{self.phi:g}"
 
     def _value(self, u, v):
@@ -49,6 +49,9 @@ class FootruleLowerBound(BivariateFunction):
         inside = (u * v >= q) & ((1.0 - u) * (1.0 - v) >= q)
         val = 0.5 * (u + v - np.sqrt(2.0 * (1.0 - self.phi) / 3.0 + (v - u) ** 2))
         return np.clip(np.where(inside, val, w), w, m)
+
+    def _region_codes(self, u, v):
+        return np.zeros(np.broadcast(u, v).shape, dtype=int)
 
 
 def footrule_lower_bound(phi, u, v):
@@ -104,17 +107,17 @@ def delta_region(phi, u, v):
     boundaries, so the order only picks among equal expressions. Every code
     is 0 for parameters above 1/4, where all pieces are empty.
     """
-    phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
-    return _on_unit(lambda a, b: _first_match(_delta_pieces(phi, a, b)[0], range(1, 8), 0),
-                    u, v, int)
+    return _on_unit(FootruleUpperBound(phi)._region_codes, u, v, int)
 
 
 class FootruleUpperBound(BivariateFunction):
     """Greatest value at (u, v) among all copulas with the given footrule;
     a proper quasi-copula for parameters strictly inside (-1/2, 1/4)."""
 
+    LABELS = DELTA_LABELS
+
     def __init__(self, phi):
-        self.phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
+        self.phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
         self.label = f"f-upper:{self.phi:g}"
 
     def _value(self, u, v):
@@ -124,6 +127,9 @@ class FootruleUpperBound(BivariateFunction):
             return m
         masks, values = _delta_pieces(self.phi, u, v)
         return np.clip(_first_match(masks, values, m), w, m)
+
+    def _region_codes(self, u, v):
+        return _first_match(_delta_pieces(self.phi, u, v)[0], range(1, 8), 0)
 
 
 def footrule_upper_bound(phi, u, v):
@@ -137,7 +143,7 @@ def footrule_of_lower_bound(phi) -> float:
     Strictly below the parameter on the open range, with equality at the
     endpoints; the envelope is not a member of the family it bounds.
     """
-    phi = _check_range(phi, *FOOTRULE_PARAM_RANGE, "footrule")
+    phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
     return 2.0 - phi - float(np.sqrt(6.0 * (1.0 - phi)))
 
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BivariateFunction, _check_range, _first_match, _on_unit
-from .concordance import QuadratureConfig, gini_gamma
-
-GINI_PARAM_RANGE = (-1.0, 1.0)
+from .concordance import GINI_RANGE, QuadratureConfig, gini_gamma
 
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
 
@@ -92,17 +90,17 @@ def omega_region(gamma, u, v):
     All codes are 0 for parameters above 1/2; degenerate pieces (such as
     the diagonal at parameter -1) still report their code.
     """
-    gamma = _check_range(gamma, *GINI_PARAM_RANGE, "gamma")
-    return _on_unit(lambda a, b: _first_match(_omega_pieces(gamma, a, b)[0], range(1, 10), 0),
-                    u, v, int)
+    return _on_unit(GiniUpperBound(gamma)._region_codes, u, v, int)
 
 
 class GiniUpperBound(BivariateFunction):
     """Greatest value at (u, v) among all copulas with the given gamma; a
     copula exactly for parameters in [0, 1/2) and at the endpoints."""
 
+    LABELS = OMEGA_LABELS
+
     def __init__(self, gamma):
-        self.gamma = _check_range(gamma, *GINI_PARAM_RANGE, "gamma")
+        self.gamma = _check_range(gamma, *GINI_RANGE, "gamma")
         self.label = f"g-upper:{self.gamma:g}"
 
     def _value(self, u, v):
@@ -117,6 +115,9 @@ class GiniUpperBound(BivariateFunction):
         masks, values = _omega_pieces(self.gamma, u, v)
         return np.clip(_first_match(masks, values, m), w, m)
 
+    def _region_codes(self, u, v):
+        return _first_match(_omega_pieces(self.gamma, u, v)[0], range(1, 10), 0)
+
 
 def gini_upper_bound(gamma, u, v):
     """Greatest value at (u, v) among all copulas with the given gamma."""
@@ -129,10 +130,13 @@ class GiniLowerBound(BivariateFunction):
 
     Computed by reflecting the upper envelope at the negated parameter:
     a - G_upper(-gamma)(a, 1-b), which equals b - G_upper(-gamma)(1-a, b).
+    The region codes are those of the reflected piece.
     """
 
+    LABELS = OMEGA_LABELS
+
     def __init__(self, gamma):
-        self.gamma = _check_range(gamma, *GINI_PARAM_RANGE, "gamma")
+        self.gamma = _check_range(gamma, *GINI_RANGE, "gamma")
         self.label = f"g-lower:{self.gamma:g}"
         self._reflected = GiniUpperBound(-self.gamma)
 
@@ -144,6 +148,9 @@ class GiniLowerBound(BivariateFunction):
         if self.gamma <= -0.5:
             return w
         return np.clip(u - self._reflected._value(u, 1.0 - v), w, m)
+
+    def _region_codes(self, u, v):
+        return self._reflected._region_codes(u, 1.0 - v)
 
 
 def gini_lower_bound(gamma, u, v):

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .concordance import BLOMQVIST_RANGE, FOOTRULE_RANGE, GINI_RANGE
 from .core import _check_range
+
+_KIND_RANGES = {"footrule": FOOTRULE_RANGE, "gini": GINI_RANGE, "blomqvist": BLOMQVIST_RANGE}
 
 
 class KindMismatchError(ValueError):
@@ -24,19 +27,19 @@ class KindMismatchError(ValueError):
 def _beta_range(lo_k, hi_k) -> tuple[float, float]:
     """The beta interval (1 - 2 sqrt(2 (1 - lo_k) / 3), -1 + 2 sqrt(2 (1 + hi_k) / 3))
     clipped to [-1, 1]; footrule passes (phi, 2 phi) and gamma (gamma, gamma)."""
-    return (max(1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - lo_k) / 3.0)), -1.0),
-            min(-1.0 + 2.0 * float(np.sqrt(2.0 * (1.0 + hi_k) / 3.0)), 1.0))
+    return (max(1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - lo_k) / 3.0)), BLOMQVIST_RANGE[0]),
+            min(-1.0 + 2.0 * float(np.sqrt(2.0 * (1.0 + hi_k) / 3.0)), BLOMQVIST_RANGE[1]))
 
 
 def beta_range_given_footrule(phi) -> tuple[float, float]:
     """Closed interval of beta over all copulas with footrule ``phi``."""
-    phi = _check_range(phi, -0.5, 1.0, "footrule")
+    phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
     return _beta_range(phi, 2.0 * phi)
 
 
 def footrule_range_given_beta(beta) -> tuple[float, float]:
     """Closed interval of footrule over all copulas with beta ``beta``."""
-    beta = _check_range(beta, -1.0, 1.0, "beta")
+    beta = _check_range(beta, *BLOMQVIST_RANGE, "beta")
     lo = 3.0 * (1.0 + beta) ** 2 / 16.0 - 0.5
     hi = 1.0 - 3.0 * (1.0 - beta) ** 2 / 8.0
     return lo, hi
@@ -44,7 +47,7 @@ def footrule_range_given_beta(beta) -> tuple[float, float]:
 
 def beta_range_given_gini(gamma) -> tuple[float, float]:
     """Closed interval of beta over all copulas with gamma ``gamma``."""
-    gamma = _check_range(gamma, -1.0, 1.0, "gamma")
+    gamma = _check_range(gamma, *GINI_RANGE, "gamma")
     return _beta_range(gamma, gamma)
 
 
@@ -64,21 +67,22 @@ class MeasurePair:
     beta: float
 
     def __post_init__(self):
-        if self.kind not in ("footrule", "gini", "blomqvist"):
+        if self.kind not in _KIND_RANGES:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "footrule":
-            object.__setattr__(self, "value", _check_range(self.value, -0.5, 1.0, "footrule"))
-        else:
-            object.__setattr__(self, "value", _check_range(self.value, -1.0, 1.0, self.kind))
-        object.__setattr__(self, "beta", _check_range(self.beta, -1.0, 1.0, "beta"))
+        object.__setattr__(self, "value",
+                           _check_range(self.value, *_KIND_RANGES[self.kind], self.kind))
+        object.__setattr__(self, "beta", _check_range(self.beta, *BLOMQVIST_RANGE, "beta"))
 
 
 def pair_in_region(pair: MeasurePair, slack: float = 0.0) -> bool:
     """Whether the pair lies in the exact attainable region.
 
     ``slack`` widens the closed interval on both sides so statistical
-    pipelines can pass their quadrature or sampling error.
+    pipelines can pass their quadrature or sampling error; it must be finite
+    and nonnegative.
     """
+    if not 0.0 <= slack < np.inf:
+        raise ValueError("slack must be nonnegative and finite")
     if pair.kind == "footrule":
         lo, hi = beta_range_given_footrule(pair.value)
     elif pair.kind == "gini":

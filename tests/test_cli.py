@@ -1,9 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from copulabounds import cli
+from copulabounds import cli, effectiveness
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -150,6 +156,36 @@ def test_semantic_errors_exit_three(capsys):
                  "check M 20 nan", "check M 20 inf"):
         code, out, _ = run_cli(capsys, *argv.split())
         assert (code, out) == (3, ""), argv
+
+
+def test_spec_parser_reads_the_envelope_table():
+    for name, cls in effectiveness.ENVELOPES.items():
+        for k in ("-0.5", "-0.25", "0", "0.1", "0.75", "1"):
+            func = cli.parse_copula_spec(f"{name}:{k}")
+            assert isinstance(func, cls) and func.label == f"{name}:{k}"
+    for kind, (upper, lower) in (("footrule", ("f-upper", "f-lower")),
+                                 ("gini", ("g-upper", "g-lower"))):
+        bounds = effectiveness._bounds_for(kind, 0.2)
+        assert tuple(map(type, bounds)) == (effectiveness.ENVELOPES[upper],
+                                            effectiveness.ENVELOPES[lower])
+
+
+def test_module_entry_point_in_a_fresh_interpreter(capsys):
+    """``python -m copulabounds.cli`` imports cleanly on its own and keeps
+    the exit-code contract."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "copulabounds.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    proc = run("grid", "f-upper", "0.0", "2")
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, "grid", "f-upper", "0.0", "2")[:2]
+    assert proc.returncode == 0, proc.stderr
+    proc = run("grid", "f-upper", "2", "4")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -266,6 +266,17 @@ def test_shuffle_spec_validation():
     for cuts in ((0.0, np.nan, 1.0), (np.nan, 0.5, 1.0), (0.0, 0.5, np.nan)):
         with pytest.raises(cb.InvalidSpecError):
             cb.ShuffleSpec(cuts, (2, 1), (1, 1))
+    # entries that are not whole numbers are rejected, never truncated
+    for perm, orient in (((2.9, 1.2), (1.7, -1.4)), ((2, 1), (1.5, 1)), ((2, 1.0001), (1, 1)),
+                         ((np.inf, 1), (1, 1)), ((2, 1), (1, -np.inf)),
+                         ((np.nan, 1), (1, 1)), ((2, 1), (np.nan, 1))):
+        with pytest.raises(cb.InvalidSpecError):
+            cb.ShuffleSpec((0.0, 0.5, 1.0), perm, orient)
+    with pytest.raises(cb.InvalidSpecError):
+        cb.ShuffleSpec((0.0, 0.5, 1.0), (10 ** 400, 1), (1, 1))
+    spec = cb.ShuffleSpec((0.0, 0.5, 1.0), (2.0, np.float64(1.0)), (1.0, -1))
+    assert spec.permutation == (2, 1) and spec.orientations == (1, -1)
+    assert all(type(x) is int for x in spec.permutation + spec.orientations)
 
 
 def test_identity_and_reversal_shuffles():

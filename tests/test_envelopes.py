@@ -99,3 +99,30 @@ def test_envelopes_are_attained_pointwise(of_lower, of_upper, lower, upper, lowe
         sel = value > w + 1e-9
         assert sel.sum() >= 100, k
         np.testing.assert_allclose(of_upper(u[sel], v[sel], value[sel]), k, rtol=0, atol=1e-12)
+
+
+# Each envelope class labels its own pieces: the upper classes through the
+# public region functions, the lower gamma envelope through the upper pieces
+# of the reflected point at the negated parameter, the lower footrule
+# envelope (one closed form) with a single "none".
+REGION_CASES = (
+    (cb.FootruleLowerBound, lambda k, u, v: np.zeros(u.shape, dtype=int),
+     (-0.5, -0.3, 0.0, 0.6, 1.0)),
+    (cb.FootruleUpperBound, cb.delta_region, (-0.5, -0.45, -0.3, 0.0, 0.2, 0.25, 0.7)),
+    (cb.GiniUpperBound, cb.omega_region, (-1.0, -0.85, -0.6, -0.3, 0.0, 0.3, 0.5, 0.8)),
+    (cb.GiniLowerBound, lambda k, u, v: cb.omega_region(-k, u, 1.0 - v),
+     (-0.8, -0.5, -0.3, 0.0, 0.3, 0.6, 0.85, 1.0)),
+)
+
+
+@pytest.mark.parametrize("cls,expected,ks", REGION_CASES,
+                         ids=[cls.__name__ for cls, _, _ in REGION_CASES])
+def test_region_codes_live_on_the_classes(cls, expected, ks):
+    u, v = POINTS
+    seen = set()
+    for k in ks:
+        codes = cls(k)._region_codes(u, v)
+        np.testing.assert_array_equal(codes, expected(k, u, v), err_msg=str(k))
+        assert codes.dtype.kind == "i" and codes.min() >= 0 and codes.max() < len(cls.LABELS)
+        seen.update(np.unique(codes).tolist())
+    assert seen == set(range(len(cls.LABELS)))

@@ -93,6 +93,14 @@ def test_slack_admits_noisy_boundary_pairs():
     assert cb.pair_in_region(noisy, slack=5e-3)
 
 
+def test_slack_must_be_nonnegative_and_finite():
+    inside = cb.MeasurePair("footrule", 0.1, 0.0)
+    for slack in (np.nan, -5.0, -1e-12, np.inf):
+        with pytest.raises(ValueError, match="slack"):
+            cb.pair_in_region(inside, slack=slack)
+    assert cb.pair_in_region(inside, slack=0.0)
+
+
 def test_ranges_match_envelope_centre_values():
     for phi in np.linspace(-0.5, 1.0, 31):
         lo, hi = cb.beta_range_given_footrule(phi)
