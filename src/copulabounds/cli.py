@@ -30,13 +30,23 @@ class NotACopulaError(ValueError):
 
 def _format_column(col: np.ndarray) -> list:
     """Cells of one column by its dtype: bools as true/false, floats at six
-    decimals with negative zero printed as zero, anything else by str."""
+    decimals with negative zero printed as zero, anything else by str.
+
+    Envelope tables repeat a few values many times over, so numbers and
+    bools are formatted once per distinct value and then indexed; equal
+    values (-0.0 and 0.0 among them) print alike.
+    """
+    if col.dtype.kind not in "biuf":
+        return [str(x) for x in col.tolist()]
+    uniques, inverse = np.unique(col, return_inverse=True)
     if col.dtype == bool:
-        return ["true" if x else "false" for x in col.tolist()]
-    if col.dtype.kind == "f":
-        cells = [f"{x:.6f}" for x in col.tolist()]
-        return ["0.000000" if c == "-0.000000" else c for c in cells]
-    return [str(x) for x in col.tolist()]
+        cells = ["true" if x else "false" for x in uniques.tolist()]
+    elif col.dtype.kind == "f":
+        cells = [f"{x:.6f}" for x in uniques.tolist()]
+        cells = ["0.000000" if c == "-0.000000" else c for c in cells]
+    else:
+        cells = [str(x) for x in uniques.tolist()]
+    return np.asarray(cells, dtype=object)[inverse].tolist()
 
 
 @dataclass
@@ -135,9 +145,13 @@ def cmd_grid(args) -> CsvTable:
         raise core.OutOfRangeError("grid resolution must be >= 2")
     func = effectiveness.ENVELOPES[args.bound](args.param)
     t = core.grid_nodes(args.n)
-    a, b = np.repeat(t, args.n + 1), np.tile(t, args.n + 1)
-    regions_col = np.asarray(func.LABELS)[func._region_codes(a, b)]
-    return CsvTable(["a", "b", "value", "region"], [a, b, func(a, b), regions_col])
+    # on the broadcast grid each per-axis term is computed once per node; the
+    # operations are elementwise, so values equal those of the flat columns
+    a, b = t[:, None], t[None, :]
+    codes = func._region_codes(a, b).ravel()
+    return CsvTable(["a", "b", "value", "region"],
+                    [np.repeat(t, args.n + 1), np.tile(t, args.n + 1), func(a, b).ravel(),
+                     np.asarray(func.LABELS, dtype=object)[codes]])
 
 
 def cmd_table1(args) -> CsvTable:

@@ -59,14 +59,13 @@ def footrule_lower_bound(phi, u, v):
     return FootruleLowerBound(phi)(u, v)
 
 
-def _delta_pieces(phi, a, b):
-    """Region masks D1..D7 and piece values, all evaluated everywhere.
+def _delta_masks(phi, a, b):
+    """Region masks D1..D7, all evaluated everywhere, and the axis roots
+    ``ra``, ``rb`` that the piece values reuse.
 
     D5..D7 are D3..D1 with the coordinates swapped: ``half`` writes the
-    masks of D1..D3 and one half of D4's mask, ``half_values`` the values of
-    D1..D3, and each is called again with a and b exchanged. Square roots
-    whose argument can go negative outside the owning region are clamped at
-    zero; the masks never select those points.
+    masks of D1..D3 and one half of D4's mask, and is called again with a
+    and b exchanged.
     """
     p2 = 1.0 + 2.0 * phi
     s = np.sqrt(p2 / 3.0)
@@ -84,28 +83,45 @@ def _delta_pieces(phi, a, b):
                   & (a ** 2 <= cap - (b - 1.0) ** 2))
         return masks, centre
 
+    ra = np.sqrt((2.0 * a - 1.0) ** 2 + p2)
+    rb = np.sqrt((2.0 * b - 1.0) ** 2 + p2)
+    masks, centre = half(a, b, ra, rb)
+    masks_t, centre_t = half(b, a, rb, ra)
+    return [*masks, centre & centre_t, *masks_t[::-1]], ra, rb
+
+
+def _delta_pieces(phi, a, b):
+    """Region masks D1..D7 and piece values, all evaluated everywhere.
+
+    ``half_values`` writes the values of D1..D3 and is called again with a
+    and b exchanged for D5..D7. Square roots whose argument can go negative
+    outside the owning region are clamped at zero; the masks never select
+    those points.
+    """
+    p2 = 1.0 + 2.0 * phi
+    s = np.sqrt(p2 / 3.0)
+
     def half_values(a, b, ra, rb):
         return [0.5 * (2.0 * b - 1.0 + s),
                 (2.0 * b - 1.0 + rb) / 3.0,
                 (a + 3.0 * b - 2.0 + ra) / 3.0]
 
-    ra = np.sqrt((2.0 * a - 1.0) ** 2 + p2)
-    rb = np.sqrt((2.0 * b - 1.0) ** 2 + p2)
     # all masks before any value: interleaving them ran 5% slower per block
-    masks, centre = half(a, b, ra, rb)
-    masks_t, centre_t = half(b, a, rb, ra)
+    masks, ra, rb = _delta_masks(phi, a, b)
     g4_arg = 3.0 * (b - a) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * p2 / 3.0
     g4 = 0.5 * (a + b - 1.0 + np.sqrt(np.maximum(g4_arg, 0.0)))
-    return ([*masks, centre & centre_t, *masks_t[::-1]],
-            [*half_values(a, b, ra, rb), g4, *half_values(b, a, rb, ra)[::-1]])
+    return masks, [*half_values(a, b, ra, rb), g4, *half_values(b, a, rb, ra)[::-1]]
 
 
 def delta_region(phi, u, v):
     """Code 1..7 of the piece governing the upper envelope at (u, v), else 0.
 
     Pieces are tested in index order; adjacent pieces agree on shared
-    boundaries, so the order only picks among equal expressions. Every code
-    is 0 for parameters above 1/4, where all pieces are empty.
+    boundaries, so the order only picks among equal expressions. At 1/4 the
+    pieces have shrunk to the centre (1/2, 1/2), which rounding in D4's
+    mask still reports as code 4, with diagonal points within about 1e-9 of
+    it, up to the next float above 1/4 (0.25000000000000006). Every code is
+    0 for larger parameters. The envelope is min(u, v) from 1/4 on either way.
     """
     return _on_unit(FootruleUpperBound(phi)._region_codes, u, v, int)
 
@@ -129,7 +145,7 @@ class FootruleUpperBound(BivariateFunction):
         return np.clip(_first_match(masks, values, m), w, m)
 
     def _region_codes(self, u, v):
-        return _first_match(_delta_pieces(self.phi, u, v)[0], range(1, 8), 0)
+        return _first_match(_delta_masks(self.phi, u, v)[0], range(1, 8), 0)
 
 
 def footrule_upper_bound(phi, u, v):

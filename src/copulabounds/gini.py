@@ -17,16 +17,14 @@ from .concordance import GINI_RANGE, QuadratureConfig, gini_gamma
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
 
 
-def _omega_pieces(gamma, a, b):
-    """Region masks O1..O9 and piece values, all evaluated everywhere.
+def _omega_masks(gamma, a, b):
+    """Region masks O1..O9, all evaluated everywhere.
 
     O6..O9 are O4..O1 with the coordinates swapped: ``half`` writes the
-    masks of O1..O4 and one half of O5's mask, ``half_values`` the values of
-    O1..O4, and each is called again with a and b exchanged. Divisions by
-    the centre lines and the square edges are left to IEEE semantics: a
-    diverging side makes its inequality false, which is the limiting form of
-    each region condition. Square roots that can go negative outside the
-    owning region are clamped at zero.
+    masks of O1..O4 and one half of O5's mask, and is called again with a
+    and b exchanged. Divisions by the centre lines and the square edges are
+    left to IEEE semantics: a diverging side makes its inequality false,
+    which is the limiting form of each region condition.
     """
     t = 1.0 + gamma
 
@@ -63,7 +61,18 @@ def _omega_pieces(gamma, a, b):
         axis_a, axis_b = axis_terms(a), axis_terms(b)
     masks, centre = half(a, b, axis_a, axis_b)
     masks_t, centre_t = half(b, a, axis_b, axis_a)
+    return [*masks, centre & centre_t, *masks_t[::-1]]
 
+
+def _omega_pieces(gamma, a, b):
+    """Region masks O1..O9 and piece values, all evaluated everywhere.
+
+    ``half_values`` writes the values of O1..O4 and is called again with a
+    and b exchanged for O6..O9. Square roots that can go negative outside
+    the owning region are clamped at zero.
+    """
+    t = 1.0 + gamma
+    masks = _omega_masks(gamma, a, b)
     w28_arg = (a + b - 1.0) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * t
     w28 = np.sqrt(np.maximum(w28_arg, 0.0))
     w37 = np.sqrt((2.0 * a + 4.0 * b - 3.0) ** 2 + 7.0 * t)
@@ -79,16 +88,19 @@ def _omega_pieces(gamma, a, b):
                 (2.0 * a + 4.0 * b - 3.0 + w37) / 7.0,
                 (3.0 * a + 5.0 * b - 4.0 + w46) / 7.0]
 
-    return ([*masks, centre & centre_t, *masks_t[::-1]],
-            [*half_values(a, b, w37, w46), w5, *half_values(b, a, w46, w37)[::-1]])
+    return masks, [*half_values(a, b, w37, w46), w5, *half_values(b, a, w46, w37)[::-1]]
 
 
 def omega_region(gamma, u, v):
     """Code 1..9 of the piece governing the upper envelope at (u, v), else 0.
 
     Pieces are tested in index order with verified boundary agreement.
-    All codes are 0 for parameters above 1/2; degenerate pieces (such as
-    the diagonal at parameter -1) still report their code.
+    Degenerate pieces (such as the diagonal at parameter -1) still report
+    their code. At 1/2 the pieces have shrunk to the centre (1/2, 1/2),
+    which rounding in O5's mask still reports as code 5, with diagonal
+    points within about 1e-9 of it, up to two floats above 1/2
+    (0.5000000000000002). Every code is 0 for larger parameters. The
+    envelope is min(u, v) from 1/2 on either way.
     """
     return _on_unit(GiniUpperBound(gamma)._region_codes, u, v, int)
 
@@ -116,7 +128,7 @@ class GiniUpperBound(BivariateFunction):
         return np.clip(_first_match(masks, values, m), w, m)
 
     def _region_codes(self, u, v):
-        return _first_match(_omega_pieces(self.gamma, u, v)[0], range(1, 10), 0)
+        return _first_match(_omega_masks(self.gamma, u, v), range(1, 10), 0)
 
 
 def gini_upper_bound(gamma, u, v):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copulabounds import cli, effectiveness
 
@@ -58,6 +59,20 @@ def test_grid_lower_gamma_regions_follow_reflection(capsys):
     assert code == 0
     centre = [r for r in out.splitlines()[1:] if r.startswith("0.500000,0.500000")]
     assert centre[0].endswith("O5")
+
+
+@pytest.mark.parametrize("bound,param", [("f-upper", "-0.45"), ("f-upper", "0.25"),
+                                         ("f-lower", "0.3"), ("g-upper", "-0.6"),
+                                         ("g-upper", "-1"), ("g-lower", "0.7")])
+def test_grid_columns_equal_flat_evaluation(bound, param):
+    # grid evaluates on the broadcast node grid; values must be bitwise those
+    # of the flat (a, b) columns, labels those of their region codes
+    func = effectiveness.ENVELOPES[bound](float(param))
+    for n in ("37", "64"):
+        args = cli.build_parser().parse_args(["grid", bound, param, n])
+        a, b, value, region = args.func(args).columns
+        np.testing.assert_array_equal(value.view(np.uint64), func(a, b).view(np.uint64))
+        assert region.tolist() == [func.LABELS[c] for c in func._region_codes(a, b)]
 
 
 def test_table1_shape(capsys):
@@ -271,6 +286,9 @@ PINNED_STDOUT = (
     ("grid f-upper -0.45 40", "cd910dd2274c786fd2d3abcd894a71f62d15b44f314ba12fbd6c4cae0362bafc"),
     ("grid g-upper -0.85 40", "47f7d7e76282456a9c1ddcd50a03149cb907a94859f747eaf3fae2f28900f228"),
     ("grid g-lower 0.85 40", "8318f113cddffe59864305c652696325f221f9fe9c953b6c2133dcbf6caadb5c"),
+    # recorded before cells were formatted per distinct value
+    ("grid f-upper -0.3 152", "abafbc2fdb6c18e5d9d864c4b15282866b902902f82b77a4e4ea25b9aa106fed"),
+    ("grid g-lower -0.458 144", "a5c198cbdfd3d0b16c979f8f681e10af09b6d6a94b470f4f60fef4ca135029bf"),
 )
 
 
@@ -279,3 +297,49 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _render_per_cell(table):
+    """The CSV writer as it was before it formatted by distinct value."""
+    def cells(col):
+        if col.dtype == bool:
+            return ["true" if x else "false" for x in col.tolist()]
+        if col.dtype.kind == "f":
+            out = [f"{x:.6f}" for x in col.tolist()]
+            return ["0.000000" if c == "-0.000000" else c for c in out]
+        return [str(x) for x in col.tolist()]
+
+    rows = zip(*(cells(np.asarray(col)) for col in table.columns))
+    return "\n".join([",".join(table.header), *map(",".join, rows)]) + "\n"
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-7, -5e-7]),
+    st.floats(-5e-7, 0.0, exclude_min=True, exclude_max=True),  # prints -0.000000
+)
+LABELS = ("none", "D1", "O5", "")
+
+
+@st.composite
+def csv_columns(draw, size):
+    """One column of ``size`` cells, drawn from a small pool so values repeat."""
+    kind = draw(st.sampled_from(["float64", "float32", "int", "bool", "str", "labels"]))
+    if kind == "labels":
+        codes = draw(st.lists(st.integers(0, len(LABELS) - 1), min_size=size, max_size=size))
+        return np.asarray(LABELS, dtype=object)[codes]
+    cell = {"float64": FLOATS, "float32": FLOATS, "int": st.integers(-10**12, 10**12),
+            "bool": st.booleans(), "str": st.text(max_size=4)}[kind]
+    pool = draw(st.lists(cell, min_size=1, max_size=5))
+    values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            return np.asarray(values, dtype=np.float32)
+    return values if kind in ("bool", "str") else np.asarray(values)
+
+
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(csv_columns(n), min_size=1, max_size=4)))
+@settings(max_examples=300, deadline=None)
+def test_render_matches_per_cell_formatting(columns):
+    table = cli.CsvTable([f"c{i}" for i in range(len(columns))], columns)
+    assert table.render() == _render_per_cell(table)

@@ -65,6 +65,19 @@ def test_delta_region_dynamics():
     assert present(0.30) == set()
 
 
+def test_delta_region_past_the_quarter():
+    # the centre keeps D4 one float past 1/4 by rounding; the value is M there
+    t = np.arange(201) / 200
+    A, B = t[:, None], t[None, :]
+    centre = (A == 0.5) & (B == 0.5)
+    phi = np.nextafter(0.25, 1.0)
+    assert phi == 0.25000000000000006
+    for k in (0.25, phi):
+        np.testing.assert_array_equal(cb.delta_region(k, A, B), np.where(centre, 4, 0))
+        assert cb.footrule_upper_bound(k, 0.5, 0.5) == 0.5
+    assert np.all(cb.delta_region(np.nextafter(phi, 1.0), A, B) == 0)
+
+
 def test_delta_transpose_index_map():
     rng = np.random.default_rng(53)
     swap = np.array([0, 7, 6, 5, 4, 3, 2, 1])

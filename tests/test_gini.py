@@ -56,6 +56,20 @@ def test_omega_region_dynamics():
     assert present(0.60) == set()
 
 
+def test_omega_region_past_the_half():
+    # the centre keeps O5 two floats past 1/2 by rounding; the value is M there
+    t = np.arange(201) / 200
+    A, B = t[:, None], t[None, :]
+    centre = (A == 0.5) & (B == 0.5)
+    one_up = np.nextafter(0.5, 1.0)
+    two_up = np.nextafter(one_up, 1.0)
+    assert (one_up, two_up) == (0.5000000000000001, 0.5000000000000002)
+    for g in (0.5, one_up, two_up):
+        np.testing.assert_array_equal(cb.omega_region(g, A, B), np.where(centre, 5, 0))
+        assert cb.gini_upper_bound(g, 0.5, 0.5) == 0.5
+    assert np.all(cb.omega_region(np.nextafter(two_up, 1.0), A, B) == 0)
+
+
 def test_omega_transpose_index_map():
     rng = np.random.default_rng(47)
     swap = np.array([0, 9, 8, 7, 6, 5, 4, 3, 2, 1])
