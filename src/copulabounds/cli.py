@@ -4,9 +4,11 @@ Evaluates measures, tabulates envelopes and attainable regions, audits the
 copula axioms, and samples supports; every command emits CSV (comma
 separated, LF line endings, floats at six decimals) to stdout or --out.
 
-Exit codes: 0 success, 2 usage or spec-parse errors, 3 semantic rejection:
-every ValueError a command raises on its argument values (out-of-range
-parameters, invalid specs, sampling a proper quasi-copula).
+Exit codes: 0 success, 2 usage or spec-parse errors (a value given both as
+a positional and as a flag among them), 3 semantic rejection: every
+ValueError a command raises on its argument values (out-of-range
+parameters, invalid specs, sampling a proper quasi-copula) and an --out
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import numpy as np
 from . import concordance, core, effectiveness, regions
 
 
-class SpecParseError(ValueError):
+class UsageError(ValueError):
+    """The arguments are malformed or contradict each other."""
+
+
+class SpecParseError(UsageError):
     """A copula spec string or shuffle file could not be parsed."""
 
 
@@ -66,7 +72,7 @@ def _load_shuffle(path: str) -> core.ShuffleSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecParseError(f"cannot read shuffle file {path}: {exc}") from exc
     pieces = []
     for ln in lines:
@@ -192,7 +198,7 @@ def cmd_sample(args) -> CsvTable:
     func = parse_copula_spec(args.spec)
     if args.count < 1:
         raise core.OutOfRangeError("count must be >= 1")
-    seed = _pick(args.seed_pos, args.seed_flag, 0)
+    seed = _pick(args.seed_pos, args.seed_flag, 0, "seed")
     report = core.check_quasicopula(func, n=200, tol=1e-9)
     if not (report.is_quasicopula and report.is_two_increasing):
         raise NotACopulaError(
@@ -205,8 +211,8 @@ def cmd_sample(args) -> CsvTable:
 
 def cmd_check(args) -> CsvTable:
     func = parse_copula_spec(args.spec)
-    n = _pick(args.n_pos, args.n_flag, 200)
-    tol = _pick(args.tol_pos, args.tol_flag, 1e-9)
+    n = _pick(args.n_pos, args.n_flag, 200, "n")
+    tol = _pick(args.tol_pos, args.tol_flag, 1e-9, "tol")
     report = core.check_quasicopula(func, n=n, tol=tol)
     lo, hi = report.worst_rectangle
     row = (report.is_quasicopula, report.is_two_increasing, report.worst_volume,
@@ -264,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pick(positional, flag, default):
+def _pick(positional, flag, default, name):
+    if positional is not None and flag is not None:
+        raise UsageError(f"{name} given both as a positional and as --{name}")
     if positional is not None:
         return positional
     if flag is not None:
@@ -276,7 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         table = args.func(args)
-    except SpecParseError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -284,8 +292,12 @@ def main(argv=None) -> int:
         return 3
     text = table.render()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 3
     else:
         sys.stdout.write(text)
     return 0

@@ -110,6 +110,36 @@ class BivariateFunction:
         return f"<{type(self).__name__} {self.label}>"
 
 
+class Envelope(BivariateFunction):
+    """Pointwise bound of all copulas sharing the measure value ``k``.
+
+    Subclasses declare the spec ``NAME``, the ``MEASURE`` and its ``RANGE``,
+    ``W_UP_TO`` and ``M_FROM`` (the bound is W for k <= W_UP_TO and M for
+    k >= M_FROM) and ``_bound(u, v, w, m)``, clamped to [W, M] in between.
+    """
+
+    W_UP_TO, M_FROM = -np.inf, np.inf
+    LABELS = ("none",)
+
+    def __init__(self, k):
+        self.k = _check_range(k, *self.RANGE, self.MEASURE)
+        self.label = f"{self.NAME}:{self.k:g}"
+
+    def _value(self, u, v):
+        w = np.maximum(u + v - 1.0, 0.0)
+        m = np.minimum(u, v)
+        # where the bound is exactly W or M, return it: the degenerate regions
+        # are fragile and the clamp must not leak edge rounding into it
+        if self.k <= self.W_UP_TO:
+            return w
+        if self.k >= self.M_FROM:
+            return m
+        return np.clip(self._bound(u, v, w, m), w, m)
+
+    def _region_codes(self, u, v):
+        return np.zeros(np.broadcast(u, v).shape, dtype=int)
+
+
 class FrechetLower(BivariateFunction):
     """Countermonotone copula max(0, u + v - 1), the pointwise least copula."""
 
@@ -496,6 +526,9 @@ class GridFunction:
         return (np.arange(self.n) + 0.5) / self.n
 
 
+SINKHORN_ITERS = 1000
+
+
 class CheckerboardCopula(BivariateFunction):
     """Piecewise-uniform copula spreading masses[i, j] over cell ij.
 
@@ -523,11 +556,12 @@ class CheckerboardCopula(BivariateFunction):
         self.label = f"checkerboard[{n}]"
 
     @classmethod
-    def random(cls, n: int, seed: int, iters: int = 1000) -> "CheckerboardCopula":
-        """Random checkerboard via Sinkhorn balancing of a positive matrix."""
+    def random(cls, n: int, seed: int) -> "CheckerboardCopula":
+        """Random checkerboard via Sinkhorn balancing of a positive matrix,
+        for at most ``SINKHORN_ITERS`` sweeps."""
         rng = np.random.default_rng(seed)
         m = rng.random((n, n)) + 0.1
-        for _ in range(iters):
+        for _ in range(SINKHORN_ITERS):
             m /= m.sum(axis=1, keepdims=True) * n
             m /= m.sum(axis=0, keepdims=True) * n
             if np.abs(m.sum(axis=1) * n - 1.0).max() < 1e-15:

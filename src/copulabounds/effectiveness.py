@@ -23,8 +23,8 @@ FOOTRULE_TABLE_KS = tuple(np.round(np.arange(16) * 0.1 - 0.5, 10))
 GINI_TABLE_KS = tuple(np.round(np.arange(11) * 0.1, 10))
 ROW_BLOCK = 32
 
-ENVELOPES = {"f-lower": FootruleLowerBound, "f-upper": FootruleUpperBound,
-             "g-lower": GiniLowerBound, "g-upper": GiniUpperBound}
+ENVELOPES = {cls.NAME: cls for cls in (FootruleLowerBound, FootruleUpperBound,
+                                        GiniLowerBound, GiniUpperBound)}
 
 
 @dataclass(frozen=True)

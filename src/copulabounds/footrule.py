@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BivariateFunction, _check_range, _first_match, _on_unit
+from .core import Envelope, _check_range, _first_match, _on_unit
 from .concordance import FOOTRULE_RANGE, QuadratureConfig, spearman_footrule
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
@@ -26,32 +26,19 @@ def hyperbola_halfwidth(phi) -> float:
     return float(np.sqrt(3.0 * (1.0 + 2.0 * phi)) / 6.0)
 
 
-class FootruleLowerBound(BivariateFunction):
+class FootruleLowerBound(Envelope):
     """Least value at (u, v) among all copulas with the given footrule;
     always a copula."""
 
-    LABELS = ("none",)
+    NAME, MEASURE, RANGE = "f-lower", "footrule", FOOTRULE_RANGE
+    W_UP_TO, M_FROM = -0.5, 1.0
+    phi = property(lambda self: self.k)
 
-    def __init__(self, phi):
-        self.phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
-        self.label = f"f-lower:{self.phi:g}"
-
-    def _value(self, u, v):
-        w = np.maximum(u + v - 1.0, 0.0)
-        m = np.minimum(u, v)
-        # endpoints short-circuit: the envelope is exactly W or M there and the
-        # [W, M] clamp must not leak edge rounding into the identity
-        if self.phi == -0.5:
-            return w
-        if self.phi == 1.0:
-            return m
-        q = (1.0 - self.phi) / 6.0
+    def _bound(self, u, v, w, m):
+        q = (1.0 - self.k) / 6.0
         inside = (u * v >= q) & ((1.0 - u) * (1.0 - v) >= q)
-        val = 0.5 * (u + v - np.sqrt(2.0 * (1.0 - self.phi) / 3.0 + (v - u) ** 2))
-        return np.clip(np.where(inside, val, w), w, m)
-
-    def _region_codes(self, u, v):
-        return np.zeros(np.broadcast(u, v).shape, dtype=int)
+        val = 0.5 * (u + v - np.sqrt(2.0 * (1.0 - self.k) / 3.0 + (v - u) ** 2))
+        return np.where(inside, val, w)
 
 
 def footrule_lower_bound(phi, u, v):
@@ -126,26 +113,20 @@ def delta_region(phi, u, v):
     return _on_unit(FootruleUpperBound(phi)._region_codes, u, v, int)
 
 
-class FootruleUpperBound(BivariateFunction):
+class FootruleUpperBound(Envelope):
     """Greatest value at (u, v) among all copulas with the given footrule;
     a proper quasi-copula for parameters strictly inside (-1/2, 1/4)."""
 
+    NAME, MEASURE, RANGE = "f-upper", "footrule", FOOTRULE_RANGE
+    M_FROM = 0.25
     LABELS = DELTA_LABELS
+    phi = property(lambda self: self.k)
 
-    def __init__(self, phi):
-        self.phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
-        self.label = f"f-upper:{self.phi:g}"
-
-    def _value(self, u, v):
-        w = np.maximum(u + v - 1.0, 0.0)
-        m = np.minimum(u, v)
-        if self.phi >= 0.25:
-            return m
-        masks, values = _delta_pieces(self.phi, u, v)
-        return np.clip(_first_match(masks, values, m), w, m)
+    def _bound(self, u, v, w, m):
+        return _first_match(*_delta_pieces(self.k, u, v), m)
 
     def _region_codes(self, u, v):
-        return _first_match(_delta_masks(self.phi, u, v)[0], range(1, 8), 0)
+        return _first_match(_delta_masks(self.k, u, v)[0], range(1, 8), 0)
 
 
 def footrule_upper_bound(phi, u, v):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BivariateFunction, _check_range, _first_match, _on_unit
+from .core import Envelope, _first_match, _on_unit
 from .concordance import GINI_RANGE, QuadratureConfig, gini_gamma
 
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
@@ -105,30 +105,20 @@ def omega_region(gamma, u, v):
     return _on_unit(GiniUpperBound(gamma)._region_codes, u, v, int)
 
 
-class GiniUpperBound(BivariateFunction):
+class GiniUpperBound(Envelope):
     """Greatest value at (u, v) among all copulas with the given gamma; a
     copula exactly for parameters in [0, 1/2) and at the endpoints."""
 
+    NAME, MEASURE, RANGE = "g-upper", "gamma", GINI_RANGE
+    W_UP_TO, M_FROM = -1.0, 0.5
     LABELS = OMEGA_LABELS
+    gamma = property(lambda self: self.k)
 
-    def __init__(self, gamma):
-        self.gamma = _check_range(gamma, *GINI_RANGE, "gamma")
-        self.label = f"g-upper:{self.gamma:g}"
-
-    def _value(self, u, v):
-        w = np.maximum(u + v - 1.0, 0.0)
-        m = np.minimum(u, v)
-        # endpoints short-circuit before region dispatch: the degenerate regions
-        # are numerically fragile and the envelope is exactly W or M there
-        if self.gamma <= -1.0:
-            return w
-        if self.gamma >= 0.5:
-            return m
-        masks, values = _omega_pieces(self.gamma, u, v)
-        return np.clip(_first_match(masks, values, m), w, m)
+    def _bound(self, u, v, w, m):
+        return _first_match(*_omega_pieces(self.k, u, v), m)
 
     def _region_codes(self, u, v):
-        return _first_match(_omega_masks(self.gamma, u, v), range(1, 10), 0)
+        return _first_match(_omega_masks(self.k, u, v), range(1, 10), 0)
 
 
 def gini_upper_bound(gamma, u, v):
@@ -136,7 +126,7 @@ def gini_upper_bound(gamma, u, v):
     return GiniUpperBound(gamma)(u, v)
 
 
-class GiniLowerBound(BivariateFunction):
+class GiniLowerBound(Envelope):
     """Least value at (u, v) among all copulas with the given gamma; a
     copula exactly for parameters in (-1/2, 0] and at the endpoints.
 
@@ -145,21 +135,18 @@ class GiniLowerBound(BivariateFunction):
     The region codes are those of the reflected piece.
     """
 
+    NAME, MEASURE, RANGE = "g-lower", "gamma", GINI_RANGE
+    W_UP_TO, M_FROM = -0.5, 1.0
     LABELS = OMEGA_LABELS
+    gamma = property(lambda self: self.k)
 
     def __init__(self, gamma):
-        self.gamma = _check_range(gamma, *GINI_RANGE, "gamma")
-        self.label = f"g-lower:{self.gamma:g}"
-        self._reflected = GiniUpperBound(-self.gamma)
+        super().__init__(gamma)
+        self._reflected = GiniUpperBound(-self.k)
 
-    def _value(self, u, v):
-        w = np.maximum(u + v - 1.0, 0.0)
-        m = np.minimum(u, v)
-        if self.gamma >= 1.0:
-            return m
-        if self.gamma <= -0.5:
-            return w
-        return np.clip(u - self._reflected._value(u, 1.0 - v), w, m)
+    def _bound(self, u, v, w, m):
+        # the reflected envelope's own clamp is part of the value
+        return u - self._reflected._value(u, 1.0 - v)
 
     def _region_codes(self, u, v):
         return self._reflected._region_codes(u, 1.0 - v)

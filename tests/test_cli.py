@@ -158,6 +158,14 @@ def test_flag_spellings_match_positionals(capsys):
     assert pos == flg
 
 
+def test_value_given_as_positional_and_flag_exits_two(capsys):
+    for argv in ("check W 50 --n 100", "check W 50 1e-9 --tol 1e-8", "check W 50 --n 50",
+                 "sample M 2 5 --seed 7"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_parse_errors_exit_two(capsys):
     assert run_cli(capsys, "eval", "phi", "bogus")[0] == 2
     assert run_cli(capsys, "eval", "phi", "f-lower:abc")[0] == 2
@@ -209,6 +217,13 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_unwritable_out_exits_three(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(capsys, "--out", str(path), "eval", "beta", "W")
+        assert (code, out) == (3, ""), path
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_out_writes_lf_file(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code = cli.main(["--out", str(path), "eval", "beta", "W"])
@@ -238,6 +253,8 @@ def test_shuffle_file_errors(tmp_path, capsys):
     path.write_text("0.0,0.4,2,1\n0.5,1.0,1,1\n")
     assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[0] == 2
     assert run_cli(capsys, "eval", "phi", "shuffle:/nonexistent/file")[0] == 2
+    path.write_bytes(b"0.0,1.0,1,1\n\xff\n")
+    assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[:2] == (2, "")
     # NaN cuts are a semantic rejection, not a silent nan or a cut replaced by 0
     for text in ("0.0,nan,2,1\nnan,1.0,1,1\n", "nan,0.5,2,1\n0.5,1.0,1,1\n"):
         path.write_text(text)

@@ -3,6 +3,8 @@ values respect the Frechet band where they are selected, the envelopes
 bound every extremal copula with the same measure value, and extremal
 copulas attain them pointwise."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,3 +128,35 @@ def test_region_codes_live_on_the_classes(cls, expected, ks):
         assert codes.dtype.kind == "i" and codes.min() >= 0 and codes.max() < len(cls.LABELS)
         seen.update(np.unique(codes).tolist())
     assert seen == set(range(len(cls.LABELS)))
+
+
+# Values and region codes of the four envelope classes, hashed. The
+# parameters cover each measure's range on a 0.05 grid, both endpoints, the
+# short-circuit boundaries and the floats just past the parameters where the
+# upper pieces shrink to the centre (1/4 and 1/2); the points are four node
+# grids, whose centre and edges stress the degenerate regions, and random
+# points. A change of any last bit changes the digest. The lower gamma
+# envelope at 0.78 and 0.97 on the 40-node grid holds two of the few points
+# where the reflected envelope's own clamp changes a last bit.
+PIN_PARAMS = {
+    "footrule": (*np.round(np.linspace(-0.5, 1.0, 31), 10), 0.25000000000000006,
+                 0.5000000000000002, np.nextafter(-0.5, 0.0), np.nextafter(0.25, 0.0)),
+    "gini": (*np.round(np.linspace(-1.0, 1.0, 41), 10), 0.25000000000000006,
+             0.5000000000000002, np.nextafter(-1.0, 0.0), np.nextafter(-0.5, 0.0),
+             np.nextafter(0.5, 0.0), 0.78, 0.97),
+}
+PIN_POINTS = [(t[:, None], t[None, :])
+              for t in (np.arange(n + 1) / n for n in (11, 40, 64, 97))]
+PIN_POINTS.append(tuple(np.random.default_rng(43).uniform(0.0, 1.0, (2, 4000))))
+
+
+def test_envelope_values_and_codes_are_pinned():
+    sha = hashlib.sha256()
+    for cls, kind in ((cb.FootruleLowerBound, "footrule"), (cb.FootruleUpperBound, "footrule"),
+                      (cb.GiniUpperBound, "gini"), (cb.GiniLowerBound, "gini")):
+        for k in PIN_PARAMS[kind]:
+            bound = cls(k)
+            for u, v in PIN_POINTS:
+                sha.update(np.ascontiguousarray(bound(u, v)).tobytes())
+                sha.update(bound._region_codes(u, v).astype(np.int64).tobytes())
+    assert sha.hexdigest() == "c40aa4fb8513a554d83a3a932c0d4be558027676dae8317b6416a22571e0943c"
