@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtremalSpec, GridFunction, OutOfRangeError, _first_match, grid_nodes
+from .core import ExtremalSpec, GridFunction, OutOfRangeError, grid_nodes
 
 FOOTRULE_RANGE = (-0.5, 1.0)
 GINI_RANGE = (-1.0, 1.0)
@@ -197,9 +197,9 @@ def _q_lower(a, b, d):
     four.
     """
     a, b, d = _triangle_frame(a, b, d)
-    q_m = _first_match([b >= d + 0.5, 2.0 * b >= 1.0 + d, b >= a + d],
-                       [0.0, (2.0 * d + 1.0 - 2.0 * b) ** 2, d * (2.0 + 3.0 * d - 4.0 * b)],
-                       2.0 * d * (1.0 + d - a - b) - (b - a) ** 2)
+    q_m = np.select([b >= d + 0.5, 2.0 * b >= 1.0 + d, b >= a + d],
+                   [0.0, (2.0 * d + 1.0 - 2.0 * b) ** 2, d * (2.0 + 3.0 * d - 4.0 * b)],
+                   2.0 * d * (1.0 + d - a - b) - (b - a) ** 2)
     return q_m, 4.0 * d * (1.0 - a - b + d) - 1.0
 
 

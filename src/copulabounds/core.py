@@ -61,14 +61,6 @@ def _check_range(value, lo, hi, what) -> float:
     return min(max(value, lo), hi)
 
 
-def _first_match(masks, values, default):
-    """Per point, the value of the first mask that holds, else ``default``."""
-    out = default
-    for mask, value in zip(reversed(masks), reversed(values)):
-        out = np.where(mask, value, out)
-    return out
-
-
 def grid_nodes(n: int) -> np.ndarray:
     """The n + 1 equispaced nodes i/n of [0, 1]."""
     return np.arange(n + 1) / n

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, _check_range, _first_match, _on_unit
+from .core import Envelope, _check_range, _on_unit
 from .concordance import FOOTRULE_RANGE, QuadratureConfig, spearman_footrule
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
@@ -123,10 +123,10 @@ class FootruleUpperBound(Envelope):
     phi = property(lambda self: self.k)
 
     def _bound(self, u, v, w, m):
-        return _first_match(*_delta_pieces(self.k, u, v), m)
+        return np.select(*_delta_pieces(self.k, u, v), m)
 
     def _region_codes(self, u, v):
-        return _first_match(_delta_masks(self.k, u, v)[0], range(1, 8), 0)
+        return np.select(_delta_masks(self.k, u, v)[0], range(1, 8), 0)
 
 
 def footrule_upper_bound(phi, u, v):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, _first_match, _on_unit
+from .core import Envelope, _on_unit
 from .concordance import GINI_RANGE, QuadratureConfig, gini_gamma
 
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
@@ -115,10 +115,10 @@ class GiniUpperBound(Envelope):
     gamma = property(lambda self: self.k)
 
     def _bound(self, u, v, w, m):
-        return _first_match(*_omega_pieces(self.k, u, v), m)
+        return np.select(*_omega_pieces(self.k, u, v), m)
 
     def _region_codes(self, u, v):
-        return _first_match(_omega_masks(self.k, u, v), range(1, 10), 0)
+        return np.select(_omega_masks(self.k, u, v), range(1, 10), 0)
 
 
 def gini_upper_bound(gamma, u, v):
