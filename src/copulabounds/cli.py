@@ -7,8 +7,9 @@ separated, LF line endings, floats at six decimals) to stdout or --out.
 Exit codes: 0 success, 2 usage or spec-parse errors (a value given both as
 a positional and as a flag among them), 3 semantic rejection: every
 ValueError a command raises on its argument values (out-of-range
-parameters, invalid specs, sampling a proper quasi-copula) and an --out
-path that cannot be written.
+parameters, invalid specs, sampling a proper quasi-copula), a size too
+large to allocate, and an --out path that cannot be written. Every error
+is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ class SpecParseError(UsageError):
 
 class NotACopulaError(ValueError):
     """The spec denotes a proper quasi-copula; sampling is refused."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting; subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _format_column(col: np.ndarray) -> list:
@@ -224,7 +233,7 @@ def cmd_check(args) -> CsvTable:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="copulabounds",
         description="Envelopes of copulas with a fixed footrule or Gini gamma; CSV output.",
     )
@@ -281,25 +290,23 @@ def _pick(positional, flag, default, name):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        table = args.func(args)
+        args = build_parser().parse_args(argv)
+        text = args.func(args).render()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    text = table.render()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtremalSpec, GridFunction, OutOfRangeError, grid_nodes
+from .core import ExtremalSpec, GridFunction, OutOfRangeError, _finite, grid_nodes
 
 FOOTRULE_RANGE = (-0.5, 1.0)
 GINI_RANGE = (-1.0, 1.0)
@@ -55,11 +55,12 @@ def spearman_footrule(func, quad: QuadratureConfig | None = None) -> float:
     """Spearman footrule 6 * int C(t,t) dt - 2, clamped to [-1/2, 1].
 
     The same diagonal integral extends the measure verbatim to proper
-    quasi-copulas, which is how the supremum envelopes are scored.
+    quasi-copulas, which is how the supremum envelopes are scored. This and
+    the other measures raise ValueError when the result is not finite.
     """
     quad = quad or DEFAULT_QUADRATURE
     t = grid_nodes(quad.n)
-    val = 6.0 * float(simpson_weights(quad.n) @ func(t, t)) - 2.0
+    val = _finite(6.0 * float(simpson_weights(quad.n) @ func(t, t)) - 2.0, "footrule")
     return min(max(val, FOOTRULE_RANGE[0]), FOOTRULE_RANGE[1])
 
 
@@ -68,13 +69,13 @@ def gini_gamma(func, quad: QuadratureConfig | None = None) -> float:
     quad = quad or DEFAULT_QUADRATURE
     t = grid_nodes(quad.n)
     w = simpson_weights(quad.n)
-    val = 4.0 * float(w @ (func(t, t) + func(t, 1.0 - t))) - 2.0
+    val = _finite(4.0 * float(w @ (func(t, t) + func(t, 1.0 - t))) - 2.0, "gamma")
     return min(max(val, GINI_RANGE[0]), GINI_RANGE[1])
 
 
 def blomqvist_beta(func) -> float:
     """Blomqvist beta 4 * C(1/2, 1/2) - 1."""
-    val = 4.0 * float(func(0.5, 0.5)) - 1.0
+    val = _finite(4.0 * float(func(0.5, 0.5)) - 1.0, "beta")
     return min(max(val, BLOMQVIST_RANGE[0]), BLOMQVIST_RANGE[1])
 
 
@@ -83,7 +84,7 @@ def q_concordance(grid: GridFunction, func) -> float:
 
     ``grid`` carries the integrating copula; cell masses are its grid-cell
     volumes and ``func`` is evaluated at cell midpoints. Rejects grids with
-    a cell volume below -1e-9.
+    a cell volume below -1e-9, and a non-finite result.
     """
     vols = grid.cell_volumes()
     worst = float(vols.min())
@@ -91,7 +92,7 @@ def q_concordance(grid: GridFunction, func) -> float:
         raise NotACopulaGridError(f"cell volume {worst} is negative; not a copula grid")
     mid = grid.midpoints()
     vals = func(mid[:, None], mid[None, :])
-    return float(4.0 * np.sum(vals * vols) - 1.0)
+    return _finite(float(4.0 * np.sum(vals * vols) - 1.0), "concordance")
 
 
 # ---------------------------------------------------------------------------

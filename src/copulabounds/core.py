@@ -52,6 +52,13 @@ def _on_unit(fn, u, v, cast=float):
     return cast(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
 
+def _finite(x, what):
+    """``x`` unchanged when every entry is finite; ValueError otherwise."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} is not finite; the evaluator returned NaN or inf")
+    return x
+
+
 def _check_range(value, lo, hi, what) -> float:
     """``value`` as a float clamped to [lo, hi]; drift within UNIT_SLACK is
     clamped, anything farther out (or NaN) raises OutOfRangeError."""
@@ -605,6 +612,8 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     steps are lookups in the probe table; each later step is one call on the
     stacked pair. Every comparison sees the same doubles as one call per
     level and per side would, so the output does not depend on the blocking.
+    A non-finite value of the conditional CDF, in the probe table or in a
+    bisection step, raises ValueError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -621,14 +630,13 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
 
     def cond(pair, v):
         f = func(pair, v)
-        return (f[0] - f[1]) / h
+        return _finite((f[0] - f[1]) / h, "conditional CDF")
 
     levels = grid_nodes(PROBE_LEVELS)[1:, None]
     block = min(max(PROBE_BLOCK // count, 1), PROBE_LEVELS)
     probe = np.concatenate([cond(x[:, None], levels[i:i + block])
                             for i in range(0, PROBE_LEVELS, block)])
-    # largest drop between consecutive levels, from 0 below the first; a level
-    # holding a NaN drops out of the fold
+    # largest drop between consecutive levels, from 0 below the first
     worst = min([0.0, *np.diff(probe, axis=0, prepend=0.0).min(axis=1).tolist()])
     if worst < -MONO_TOL:
         raise NotMonotoneError(

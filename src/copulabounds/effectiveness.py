@@ -55,8 +55,8 @@ def effectiveness_score(kind: str, k: float, n: int = 2048) -> EffectivenessRow:
 
     The gap is asserted nonnegative on every evaluated node before
     integration (symmetry carries the check to the rest of the grid); a
-    pointwise violation beyond 1e-10 means the envelopes are broken and
-    raises.
+    pointwise violation beyond 1e-10, or a NaN, means the envelopes are
+    broken and raises.
     """
     upper, lower = _bounds_for(kind, k)
     if n < 64 or n % 2:
@@ -69,7 +69,8 @@ def effectiveness_score(kind: str, k: float, n: int = 2048) -> EffectivenessRow:
         j = np.arange(i0, n - i0 + 1)[None, :]
         u, v = t[i], t[j]
         gap = upper(u, v) - lower(u, v)
-        if float(gap.min()) < -1e-10:
+        # written so that a NaN gap fails it
+        if not float(gap.min()) >= -1e-10:
             raise RuntimeError(
                 f"bound ordering violated for {kind} k={k}: gap {float(gap.min())}"
             )

@@ -212,9 +212,26 @@ def test_module_entry_point_in_a_fresh_interpreter(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
+    code, out, err = run_cli(capsys, "grid", "f-upper")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["grid", "f-upper"])
-    assert exc.value.code == 2
+        cli.main(["grid", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: copulabounds grid")
+
+
+def test_too_large_size_exits_three(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_grid", exhausted)
+    code, out, err = run_cli(capsys, "grid", "f-upper", "0.1", "200000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unwritable_out_exits_three(tmp_path, capsys):

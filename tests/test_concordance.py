@@ -231,3 +231,28 @@ def test_measure_clamping_to_theoretical_ranges():
 
     assert cb.spearman_footrule(Slightly()) == 1.0
     assert cb.gini_gamma(Slightly()) == 1.0
+
+
+def test_non_finite_evaluator_output_is_rejected(monkeypatch):
+    class Holey(cb.BivariateFunction):
+        """The product copula with NaN wherever ``hole(v)`` holds."""
+
+        def __init__(self, hole):
+            self.hole = hole
+
+        def _value(self, u, v):
+            return np.where(self.hole(v), np.nan, u * v)
+
+    upper_half = Holey(lambda v: v >= 0.5)
+    for measure in (cb.spearman_footrule, cb.gini_gamma, cb.blomqvist_beta):
+        with pytest.raises(ValueError, match="not finite"):
+            measure(upper_half)
+    with pytest.raises(ValueError, match="not finite"):
+        cb.q_concordance(cb.GridFunction.from_function(cb.PI, 8), upper_half)
+    # NaN at the probe levels k/32, and NaN only between them (bisection steps)
+    for hole in (lambda v: v >= 0.5, lambda v: (v > 0.5) & (v * 32.0 % 1.0 != 0.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            cb.sample_conditional(Holey(hole), 200, seed=3)
+    monkeypatch.setattr(cb.effectiveness, "_bounds_for", lambda kind, k: (upper_half, cb.W))
+    with pytest.raises(RuntimeError, match="ordering violated"):
+        cb.effectiveness_score("footrule", 0.0, 64)
