@@ -25,8 +25,7 @@ import copulabounds as cb
 optimize = pytest.importorskip("scipy.optimize")
 
 MEASURES = {"footrule": cb.spearman_footrule, "gamma": cb.gini_gamma}
-BOUNDS = {"footrule": (cb.FootruleLowerBound, cb.FootruleUpperBound),
-          "gamma": (cb.GiniLowerBound, cb.GiniUpperBound)}
+ENVELOPES = cb.effectiveness.ENVELOPES  # "f-upper", ..., "g-lower"
 SLACK = 1e-12
 
 
@@ -82,7 +81,7 @@ def test_linear_rows_are_the_measures(measure):
 def test_lp_never_crosses_the_envelopes(measure, quasi, k_range):
     # the k range stays inside what 16 x 16 checkerboards can reach
     rng = np.random.default_rng(11)
-    lower, upper = BOUNDS[measure]
+    upper, lower = (ENVELOPES[f"{measure[0]}-{side}"] for side in ("upper", "lower"))
     for k in (*quasi, *rng.uniform(*k_range, 18)):
         u, v = rng.uniform(0.05, 0.95, 2)
         assert extreme(16, measure, k, u, v, 1) <= upper(k)(u, v) + SLACK, (k, u, v)
@@ -103,7 +102,7 @@ def test_lp_never_crosses_the_envelopes(measure, quasi, k_range):
 def test_lp_closes_in_on_the_envelopes(bound, points):
     sense = 1 if bound.endswith("upper") else -1
     for k, u, v in points:
-        env = cb.effectiveness.ENVELOPES[bound](k)
+        env = ENVELOPES[bound](k)
         gap16, gap32 = (sense * (env(u, v) - extreme(n, env.MEASURE, k, u, v, sense))
                         for n in (16, 32))
         assert -SLACK <= gap32 < gap16, (k, u, v, gap16, gap32)
