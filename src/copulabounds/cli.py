@@ -15,6 +15,7 @@ is one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass
 
@@ -292,12 +293,11 @@ def _pick(positional, flag, default, name):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        text = args.func(args).render()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        # opened before the command runs, as a shell redirect is, so an
+        # unwritable path fails before the work
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(args.func(args).render())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, _check_range, _on_unit
-from .concordance import FOOTRULE_RANGE, QuadratureConfig, spearman_footrule
+from .core import Envelope, _on_unit
+from .concordance import FOOTRULE_RANGE, QuadratureConfig, _check_measure, spearman_footrule
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
@@ -22,7 +22,7 @@ DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 def hyperbola_halfwidth(phi) -> float:
     """Half-length of the diagonal span where the lower envelope's singular
     arcs leave the anti-diagonal: sqrt(3 (1 + 2 phi)) / 6."""
-    phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
+    phi = _check_measure("footrule", phi)
     return float(np.sqrt(3.0 * (1.0 + 2.0 * phi)) / 6.0)
 
 
@@ -140,7 +140,7 @@ def footrule_of_lower_bound(phi) -> float:
     Strictly below the parameter on the open range, with equality at the
     endpoints; the envelope is not a member of the family it bounds.
     """
-    phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
+    phi = _check_measure("footrule", phi)
     return 2.0 - phi - float(np.sqrt(6.0 * (1.0 - phi)))
 
 

@@ -15,6 +15,7 @@ from .core import Envelope, _on_unit
 from .concordance import GINI_RANGE, QuadratureConfig, gini_gamma
 
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
+_OMEGA_CODES = np.arange(1, 10, dtype=np.int8)
 
 
 def _omega_masks(gamma, a, b):
@@ -64,31 +65,36 @@ def _omega_masks(gamma, a, b):
     return [*masks, centre & centre_t, *masks_t[::-1]]
 
 
-def _omega_pieces(gamma, a, b):
-    """Region masks O1..O9 and piece values, all evaluated everywhere.
+def _omega_value(code, a, b, t):
+    """Value of piece O<code> at (a, b), where t = 1 + gamma.
 
-    ``half_values`` writes the values of O1..O4 and is called again with a
-    and b exchanged for O6..O9. Square roots that can go negative outside
-    the owning region are clamped at zero.
+    O6..O9 are O4..O1 with a and b exchanged. O2's square root can go
+    negative outside its region and is clamped at zero there.
     """
-    t = 1.0 + gamma
-    masks = _omega_masks(gamma, a, b)
-    w28_arg = (a + b - 1.0) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * t
-    w28 = np.sqrt(np.maximum(w28_arg, 0.0))
-    w37 = np.sqrt((2.0 * a + 4.0 * b - 3.0) ** 2 + 7.0 * t)
-    w46 = np.sqrt((4.0 * a + 2.0 * b - 3.0) ** 2 + 7.0 * t)
+    if code > 5:
+        return _omega_value(10 - code, b, a, t)
+    if code == 1:
+        return 0.5 * (a + b - 1.0 + np.sqrt((a + b - 1.0) ** 2 + t))
+    if code == 2:
+        arg = (a + b - 1.0) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * t
+        return 0.25 * (a + 3.0 * b - 2.0 + np.sqrt(np.maximum(arg, 0.0)))
+    if code == 3:
+        return (2.0 * a + 4.0 * b - 3.0 + np.sqrt((2.0 * a + 4.0 * b - 3.0) ** 2 + 7.0 * t)) / 7.0
+    if code == 4:
+        return (3.0 * a + 5.0 * b - 4.0 + np.sqrt((4.0 * a + 2.0 * b - 3.0) ** 2 + 7.0 * t)) / 7.0
     # cancellation-free form of 5(a+b-1)^2 - 2(1-2a)(1-2b) + 2t
-    w5_arg = (3.0 * (a + b - 1.0) ** 2 + 2.0 * (a - b) ** 2 + 2.0 * t) / 3.0
-    w1 = 0.5 * (a + b - 1.0 + np.sqrt((a + b - 1.0) ** 2 + t))
-    w5 = 0.5 * (a + b - 1.0 + np.sqrt(w5_arg))
+    arg = (3.0 * (a + b - 1.0) ** 2 + 2.0 * (a - b) ** 2 + 2.0 * t) / 3.0
+    return 0.5 * (a + b - 1.0 + np.sqrt(arg))
 
-    def half_values(a, b, w37, w46):
-        return [w1,
-                0.25 * (a + 3.0 * b - 2.0 + w28),
-                (2.0 * a + 4.0 * b - 3.0 + w37) / 7.0,
-                (3.0 * a + 5.0 * b - 4.0 + w46) / 7.0]
 
-    return masks, [*half_values(a, b, w37, w46), w5, *half_values(b, a, w46, w37)[::-1]]
+def _omega_pieces(gamma, a, b):
+    """Region masks O1..O9 and the piece values, all evaluated everywhere.
+
+    The envelope evaluates each piece only where it governs; this
+    all-pieces view serves the tests of the pieces themselves.
+    """
+    return _omega_masks(gamma, a, b), [_omega_value(code, a, b, 1.0 + gamma)
+                                        for code in range(1, 10)]
 
 
 def omega_region(gamma, u, v):
@@ -107,7 +113,11 @@ def omega_region(gamma, u, v):
 
 class GiniUpperBound(Envelope):
     """Greatest value at (u, v) among all copulas with the given gamma; a
-    copula exactly for parameters in [0, 1/2) and at the endpoints."""
+    copula exactly for parameters in [0, 1/2) and at the endpoints.
+
+    Each node takes the first region whose mask holds, in index order, and
+    only that region's piece is evaluated there; nodes in none take M.
+    """
 
     NAME, MEASURE, RANGE = "g-upper", "gamma", GINI_RANGE
     W_UP_TO, M_FROM = -1.0, 0.5
@@ -115,7 +125,22 @@ class GiniUpperBound(Envelope):
     gamma = property(lambda self: self.k)
 
     def _bound(self, u, v, w, m):
-        return np.select(*_omega_pieces(self.k, u, v), m)
+        # sorted by code (a radix sort on int8), the nodes of each piece form
+        # one contiguous slice; code 0 sorts first and keeps the value of M
+        codes = np.select(_omega_masks(self.k, u, v), _OMEGA_CODES, np.int8(0)).ravel()
+        ends = np.cumsum(np.bincount(codes, minlength=10))
+        order = np.argsort(codes, kind="stable")[ends[0]:]
+        ends -= ends[0]
+        a = np.broadcast_to(u, m.shape).ravel()[order]
+        b = np.broadcast_to(v, m.shape).ravel()[order]
+        vals = np.empty(order.size)
+        for code in range(1, 10):
+            piece = slice(ends[code - 1], ends[code])
+            if piece.start < piece.stop:
+                vals[piece] = _omega_value(code, a[piece], b[piece], 1.0 + self.k)
+        out = m.flatten()
+        out[order] = vals
+        return out.reshape(m.shape)
 
     def _region_codes(self, u, v):
         return np.select(_omega_masks(self.k, u, v), range(1, 10), 0)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concordance import BLOMQVIST_RANGE, FOOTRULE_RANGE, GINI_RANGE
-from .core import _check_range
+from .concordance import BLOMQVIST_RANGE, _check_measure
 
-_KIND_RANGES = {"footrule": FOOTRULE_RANGE, "gini": GINI_RANGE, "blomqvist": BLOMQVIST_RANGE}
+_KINDS = ("footrule", "gini", "blomqvist")
 
 
 class KindMismatchError(ValueError):
@@ -33,13 +32,13 @@ def _beta_range(lo_k, hi_k) -> tuple[float, float]:
 
 def beta_range_given_footrule(phi) -> tuple[float, float]:
     """Closed interval of beta over all copulas with footrule ``phi``."""
-    phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
+    phi = _check_measure("footrule", phi)
     return _beta_range(phi, 2.0 * phi)
 
 
 def footrule_range_given_beta(beta) -> tuple[float, float]:
     """Closed interval of footrule over all copulas with beta ``beta``."""
-    beta = _check_range(beta, *BLOMQVIST_RANGE, "beta")
+    beta = _check_measure("beta", beta)
     lo = 3.0 * (1.0 + beta) ** 2 / 16.0 - 0.5
     hi = 1.0 - 3.0 * (1.0 - beta) ** 2 / 8.0
     return lo, hi
@@ -47,7 +46,7 @@ def footrule_range_given_beta(beta) -> tuple[float, float]:
 
 def beta_range_given_gini(gamma) -> tuple[float, float]:
     """Closed interval of beta over all copulas with gamma ``gamma``."""
-    gamma = _check_range(gamma, *GINI_RANGE, "gamma")
+    gamma = _check_measure("gamma", gamma)
     return _beta_range(gamma, gamma)
 
 
@@ -67,11 +66,10 @@ class MeasurePair:
     beta: float
 
     def __post_init__(self):
-        if self.kind not in _KIND_RANGES:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        object.__setattr__(self, "value",
-                           _check_range(self.value, *_KIND_RANGES[self.kind], self.kind))
-        object.__setattr__(self, "beta", _check_range(self.beta, *BLOMQVIST_RANGE, "beta"))
+        object.__setattr__(self, "value", _check_measure(self.kind, self.value))
+        object.__setattr__(self, "beta", _check_measure("beta", self.beta))
 
 
 def pair_in_region(pair: MeasurePair, slack: float = 0.0) -> bool:

@@ -241,6 +241,15 @@ def test_unwritable_out_exits_three(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_table1", lambda args: calls.append(args))
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "--out", str(path), "table1", "--n", "256")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_out_writes_lf_file(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code = cli.main(["--out", str(path), "eval", "beta", "W"])

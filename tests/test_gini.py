@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import copulabounds as cb
+from copulabounds.core import DERIV_STEP, PROBE_LEVELS
 from copulabounds.gini import _omega_pieces
 
 GRID = np.arange(101) / 100
@@ -40,6 +41,65 @@ def test_omega_region_examples():
     selected = [float(values[k]) for k in range(9) if masks[k]]
     assert 5 in [k + 1 for k in range(9) if masks[k]]
     assert np.ptp(selected) <= 1e-12
+
+
+def _upper_reference(k, u, v):
+    """The all-pieces form: every piece on every node, the first mask wins."""
+    w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
+    return np.clip(np.select(*_omega_pieces(k, u, v), m), w, m)
+
+
+def _lower_reference(k, u, v):
+    """GiniLowerBound(-k) as the reflection of the all-pieces upper form."""
+    w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
+    return np.clip(u - _upper_reference(k, u, 1.0 - v), w, m)
+
+
+def _caller_shapes():
+    rng = np.random.default_rng(83)
+    count = 500
+    base = np.minimum(rng.random(count), 1.0 - DERIV_STEP)
+    pair = np.stack([base + DERIV_STEP, base])
+    t = np.arange(513) / 512
+    empty = np.empty(0)
+    return [
+        (pair[:, None], (np.arange(1, PROBE_LEVELS + 1) / PROBE_LEVELS)[:8, None]),  # probe block
+        (pair, rng.random(count)),  # bisection step
+        (t[:32, None], t[None, :]),  # effectiveness strip
+        (t[:, None], t[None, :]),  # grid and audit nodes
+        (empty, empty),
+        (empty[:, None], t[None, :]),
+    ]
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+# the last four parameters leave only a few pieces, or none, on these nodes
+@pytest.mark.parametrize("k", (-0.9, -0.6, -0.3, 0.2, np.nextafter(-1.0, 0.0), -0.05, 0.49,
+                               np.nextafter(0.5, 0.0)))
+def test_gathered_pieces_match_the_all_pieces_form(k):
+    upper, lower = cb.GiniUpperBound(k), cb.GiniLowerBound(-k)
+    for u, v in _caller_shapes():
+        for got, ref in ((upper(u, v), _upper_reference(k, u, v)),
+                         (lower(u, v), _lower_reference(k, u, v))):
+            assert got.shape == ref.shape and _bits(got) == _bits(ref)
+    # numpy scalars square by pow(), which can differ from x * x in the last
+    # bit; the envelope evaluates its pieces on one-element arrays even for
+    # 0-d input, so the reference is computed on those
+    for a, b in np.random.default_rng(89).random((40, 2)).tolist() + [[0.5, 0.5]]:
+        one = np.array([a]), np.array([b])
+        assert _bits(upper(np.asarray(a), np.asarray(b))) == _bits(_upper_reference(k, *one))
+        assert _bits(lower(np.asarray(a), np.asarray(b))) == _bits(_lower_reference(k, *one))
+
+
+def test_gathered_pieces_cover_every_code():
+    seen = set()
+    for k in (-0.9, 0.49):
+        for u, v in _caller_shapes():
+            seen.update(np.unique(cb.GiniUpperBound(k)._region_codes(u, v)).tolist())
+    assert seen == set(range(10))
 
 
 def test_omega_region_dynamics():
