@@ -129,34 +129,9 @@ def q_w_extremal_lower(spec: ExtremalSpec) -> float:
 
 
 def q_m_extremal_lower(spec: ExtremalSpec) -> float:
-    """Concordance of the lower extremal copula against min(u, v).
-
-    Nine-piece closed form; pieces are tried in a fixed order and the first
-    matching condition wins. Adjacent pieces agree on shared boundaries, so
-    the order only selects among equal expressions.
-    """
+    """Concordance of the lower extremal copula against min(u, v)."""
     _require_kind(spec, "lower")
-    a, b = spec.a, spec.b
-    d = spec.anchor_value
-    if b >= d + 0.5:
-        return 0.0
-    if 2.0 * b >= 1.0 + d:
-        if a <= b - d:
-            return (2.0 * d + 1.0 - 2.0 * b) ** 2
-        return (1.0 + d - a - b) * (1.0 + 3.0 * d + a - 3.0 * b)
-    if a <= b - d:
-        return d * (2.0 + 3.0 * d - 4.0 * b)
-    if d >= 2.0 * a - 1.0 and d >= 2.0 * b - 1.0 and d >= abs(a - b):
-        return 2.0 * d * (1.0 + d - a - b) - (a - b) ** 2
-    if 2.0 * a <= 1.0 + d and b <= a - d:
-        return d * (2.0 + 3.0 * d - 4.0 * a)
-    if 1.0 + d <= 2.0 * a <= 2.0 * d + 1.0:
-        if b >= a - d:
-            return (1.0 + d - a - b) * (1.0 + 3.0 * d - 3.0 * a + b)
-        return (2.0 * d + 1.0 - 2.0 * a) ** 2
-    if a >= d + 0.5:
-        return 0.0
-    raise RuntimeError("piecewise dispatch gap; spec outside the covered square")
+    return float(_q_lower(spec.a, spec.b, spec.anchor_value)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +179,7 @@ def _q_lower(a, b, d):
     """Q(C, M) and Q(C, W) of the least copula C with value d at (a, b).
 
     Both are invariant under the moves of ``_triangle_frame``; on its
-    reference triangle the nine pieces of ``q_m_extremal_lower`` reduce to
-    four.
+    reference triangle Q(C, M) has four pieces.
     """
     a, b, d = _triangle_frame(a, b, d)
     q_m = np.select([b >= d + 0.5, 2.0 * b >= 1.0 + d, b >= a + d],

@@ -47,9 +47,15 @@ def _as_unit(x, what="coordinate"):
 
 def _on_unit(fn, u, v, cast=float):
     """``fn`` on validated unit coordinates; a Python ``cast`` scalar when
-    both ``u`` and ``v`` are scalars, otherwise an array of their shape."""
-    out = np.asarray(fn(_as_unit(u, "u"), _as_unit(v, "v")))
-    return cast(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
+    both ``u`` and ``v`` are scalars, otherwise an array of their shape.
+
+    A scalar call runs as the call on one-element arrays: numpy scalars
+    square by ``pow()``, which can differ from ``x * x`` in the last bit, so
+    this keeps a scalar call bit for bit equal to the array call."""
+    u, v = _as_unit(u, "u"), _as_unit(v, "v")
+    if np.ndim(u) or np.ndim(v):
+        return np.asarray(fn(u, v))
+    return cast(np.asarray(fn(np.reshape(u, 1), np.reshape(v, 1)))[0])
 
 
 def _finite(x, what):
@@ -137,6 +143,55 @@ class Envelope(BivariateFunction):
 
     def _region_codes(self, u, v):
         return np.zeros(np.broadcast(u, v).shape, dtype=int)
+
+
+class PiecewiseEnvelope(Envelope):
+    """Envelope piecewise over regions 1..N (N odd), and M outside them.
+
+    Region and piece N + 1 - c are region and piece c at the transposed
+    point; the centre region is its own transpose. Subclasses declare the
+    ``LABELS`` "none" and 1..N, ``_axis(x)`` (terms of one coordinate that
+    the masks share), ``_half(a, b, axis_a, axis_b)`` (the masks of the
+    regions before the centre and one half of the centre mask) and
+    ``_piece(code, a, b)`` for codes up to the centre.
+    """
+
+    def _masks(self, u, v):
+        axis_u, axis_v = self._axis(u), self._axis(v)
+        masks, centre = self._half(u, v, axis_u, axis_v)
+        masks_t, centre_t = self._half(v, u, axis_v, axis_u)
+        return [*masks, centre & centre_t, *masks_t[::-1]]
+
+    def _mirrored(self, code, a, b):
+        mirror = len(self.LABELS) - code  # N + 1 - code
+        return self._piece(mirror, b, a) if mirror < code else self._piece(code, a, b)
+
+    def _pieces(self, u, v):
+        """Masks and values of all pieces on every node, for the tests."""
+        return self._masks(u, v), [self._mirrored(c, u, v) for c in range(1, len(self.LABELS))]
+
+    def _region_codes(self, u, v):
+        # the first region whose mask holds, else 0
+        masks = self._masks(u, v)
+        return np.select(masks, np.arange(1, len(masks) + 1, dtype=np.int8), np.int8(0))
+
+    def _bound(self, u, v, w, m):
+        # sorted by code (a radix sort on int8), the nodes of each piece form
+        # one contiguous slice; code 0 sorts first and keeps the value of M
+        codes = self._region_codes(u, v).ravel()
+        ends = np.cumsum(np.bincount(codes, minlength=len(self.LABELS)))
+        order = np.argsort(codes, kind="stable")[ends[0]:]
+        ends -= ends[0]
+        a = np.broadcast_to(u, m.shape).ravel()[order]
+        b = np.broadcast_to(v, m.shape).ravel()[order]
+        vals = np.empty(order.size)
+        for code in range(1, len(self.LABELS)):
+            piece = slice(ends[code - 1], ends[code])
+            if piece.start < piece.stop:
+                vals[piece] = self._mirrored(code, a[piece], b[piece])
+        out = m.flatten()
+        out[order] = vals
+        return out.reshape(m.shape)
 
 
 class FrechetLower(BivariateFunction):

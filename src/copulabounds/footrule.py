@@ -6,14 +6,16 @@ elsewhere; it is a copula for every parameter value. The upper envelope is
 piecewise over seven regions of the square (D1..D7, with D5..D7 the
 transposes of D3..D1) that deform and vanish as the parameter grows, equals
 min(u, v) outside them, and is a proper quasi-copula (not 2-increasing) for
-parameters strictly between -1/2 and 1/4.
+parameters strictly between -1/2 and 1/4. It is a ``core.PiecewiseEnvelope``:
+this module writes D1..D4 and the base class supplies their transposes,
+the region codes and the evaluation of each piece on the nodes it governs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, _on_unit
+from .core import Envelope, PiecewiseEnvelope, _on_unit
 from .concordance import FOOTRULE_RANGE, QuadratureConfig, _check_measure, spearman_footrule
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
@@ -46,60 +48,6 @@ def footrule_lower_bound(phi, u, v):
     return FootruleLowerBound(phi)(u, v)
 
 
-def _delta_masks(phi, a, b):
-    """Region masks D1..D7, all evaluated everywhere, and the axis roots
-    ``ra``, ``rb`` that the piece values reuse.
-
-    D5..D7 are D3..D1 with the coordinates swapped: ``half`` writes the
-    masks of D1..D3 and one half of D4's mask, and is called again with a
-    and b exchanged.
-    """
-    p2 = 1.0 + 2.0 * phi
-    s = np.sqrt(p2 / 3.0)
-    cap = 2.0 * (1.0 - phi) / 3.0
-    lo_half = 0.5 * (1.0 - s)
-    hi_half = 0.5 * (1.0 + s)
-
-    def half(a, b, ra, rb):
-        masks = [
-            (a <= lo_half) & (b >= hi_half) & (b <= a + lo_half),
-            (b <= hi_half) & (3.0 * a >= 2.0 * b - 1.0 + rb) & (3.0 * a <= b + 1.0 - rb),
-            (a >= lo_half) & (3.0 * b >= a + 1.0 + ra) & (3.0 * b <= 2.0 * a + 2.0 - ra),
-        ]
-        centre = ((3.0 * a >= b + 1.0 - rb) & (3.0 * a <= b + 1.0 + rb)
-                  & (a ** 2 <= cap - (b - 1.0) ** 2))
-        return masks, centre
-
-    ra = np.sqrt((2.0 * a - 1.0) ** 2 + p2)
-    rb = np.sqrt((2.0 * b - 1.0) ** 2 + p2)
-    masks, centre = half(a, b, ra, rb)
-    masks_t, centre_t = half(b, a, rb, ra)
-    return [*masks, centre & centre_t, *masks_t[::-1]], ra, rb
-
-
-def _delta_pieces(phi, a, b):
-    """Region masks D1..D7 and piece values, all evaluated everywhere.
-
-    ``half_values`` writes the values of D1..D3 and is called again with a
-    and b exchanged for D5..D7. Square roots whose argument can go negative
-    outside the owning region are clamped at zero; the masks never select
-    those points.
-    """
-    p2 = 1.0 + 2.0 * phi
-    s = np.sqrt(p2 / 3.0)
-
-    def half_values(a, b, ra, rb):
-        return [0.5 * (2.0 * b - 1.0 + s),
-                (2.0 * b - 1.0 + rb) / 3.0,
-                (a + 3.0 * b - 2.0 + ra) / 3.0]
-
-    # all masks before any value: interleaving them ran 5% slower per block
-    masks, ra, rb = _delta_masks(phi, a, b)
-    g4_arg = 3.0 * (b - a) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * p2 / 3.0
-    g4 = 0.5 * (a + b - 1.0 + np.sqrt(np.maximum(g4_arg, 0.0)))
-    return masks, [*half_values(a, b, ra, rb), g4, *half_values(b, a, rb, ra)[::-1]]
-
-
 def delta_region(phi, u, v):
     """Code 1..7 of the piece governing the upper envelope at (u, v), else 0.
 
@@ -113,20 +61,53 @@ def delta_region(phi, u, v):
     return _on_unit(FootruleUpperBound(phi)._region_codes, u, v, int)
 
 
-class FootruleUpperBound(Envelope):
+class FootruleUpperBound(PiecewiseEnvelope):
     """Greatest value at (u, v) among all copulas with the given footrule;
-    a proper quasi-copula for parameters strictly inside (-1/2, 1/4)."""
+    a proper quasi-copula for parameters strictly inside (-1/2, 1/4).
+
+    D4's square root can go negative outside its region and is clamped at
+    zero there; the masks never select those points.
+    """
 
     NAME, MEASURE, RANGE = "f-upper", "footrule", FOOTRULE_RANGE
     M_FROM = 0.25
     LABELS = DELTA_LABELS
     phi = property(lambda self: self.k)
 
-    def _bound(self, u, v, w, m):
-        return np.select(*_delta_pieces(self.k, u, v), m)
+    def __init__(self, phi):
+        super().__init__(phi)
+        self._p2 = 1.0 + 2.0 * self.k
+        self._s = np.sqrt(self._p2 / 3.0)
 
-    def _region_codes(self, u, v):
-        return np.select(_delta_masks(self.k, u, v)[0], range(1, 8), 0)
+    def _axis(self, x):
+        """The root sqrt((2x - 1)^2 + 1 + 2 phi)."""
+        return np.sqrt((2.0 * x - 1.0) ** 2 + self._p2)
+
+    def _half(self, a, b, ra, rb):
+        lo_half, hi_half = 0.5 * (1.0 - self._s), 0.5 * (1.0 + self._s)
+        masks = [
+            (a <= lo_half) & (b >= hi_half) & (b <= a + lo_half),
+            (b <= hi_half) & (3.0 * a >= 2.0 * b - 1.0 + rb) & (3.0 * a <= b + 1.0 - rb),
+            (a >= lo_half) & (3.0 * b >= a + 1.0 + ra) & (3.0 * b <= 2.0 * a + 2.0 - ra),
+        ]
+        centre = ((3.0 * a >= b + 1.0 - rb) & (3.0 * a <= b + 1.0 + rb)
+                  & (a ** 2 <= 2.0 * (1.0 - self.k) / 3.0 - (b - 1.0) ** 2))
+        return masks, centre
+
+    def _piece(self, code, a, b):
+        if code == 1:
+            return 0.5 * (2.0 * b - 1.0 + self._s)
+        if code == 2:
+            return (2.0 * b - 1.0 + self._axis(b)) / 3.0
+        if code == 3:
+            return (a + 3.0 * b - 2.0 + self._axis(a)) / 3.0
+        arg = 3.0 * (b - a) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * self._p2 / 3.0
+        return 0.5 * (a + b - 1.0 + np.sqrt(np.maximum(arg, 0.0)))
+
+
+def _delta_pieces(phi, a, b):
+    """Region masks D1..D7 and piece values, all evaluated everywhere."""
+    return FootruleUpperBound(phi)._pieces(a, b)
 
 
 def footrule_upper_bound(phi, u, v):

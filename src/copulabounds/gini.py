@@ -3,42 +3,66 @@
 The upper envelope is piecewise over nine regions of the square (O1..O9,
 with O6..O9 the transposes of O4..O1) that deform and vanish as the
 parameter grows, and equals min(u, v) outside them; it is a copula for
-parameters in [0, 1/2) and a proper quasi-copula on (-1, 0). The lower
-envelope is its reflection G_lower(gamma)(a, b) = a - G_upper(-gamma)(a, 1-b).
+parameters in [0, 1/2) and a proper quasi-copula on (-1, 0). It is a
+``core.PiecewiseEnvelope``: this module writes O1..O5 and the base class
+supplies their transposes, the region codes and the evaluation of each piece
+on the nodes it governs. The lower envelope is its reflection
+G_lower(gamma)(a, b) = a - G_upper(-gamma)(a, 1-b).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, _on_unit
+from .core import Envelope, PiecewiseEnvelope, _on_unit
 from .concordance import GINI_RANGE, QuadratureConfig, gini_gamma
 
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
-_OMEGA_CODES = np.arange(1, 10, dtype=np.int8)
 
 
-def _omega_masks(gamma, a, b):
-    """Region masks O1..O9, all evaluated everywhere.
+def omega_region(gamma, u, v):
+    """Code 1..9 of the piece governing the upper envelope at (u, v), else 0.
 
-    O6..O9 are O4..O1 with the coordinates swapped: ``half`` writes the
-    masks of O1..O4 and one half of O5's mask, and is called again with a
-    and b exchanged. Divisions by the centre lines and the square edges are
-    left to IEEE semantics: a diverging side makes its inequality false,
-    which is the limiting form of each region condition.
+    Pieces are tested in index order with verified boundary agreement.
+    Degenerate pieces (such as the diagonal at parameter -1) still report
+    their code. At 1/2 the pieces have shrunk to the centre (1/2, 1/2),
+    which rounding in O5's mask still reports as code 5, with diagonal
+    points within about 1e-9 of it, up to two floats above 1/2
+    (0.5000000000000002). Every code is 0 for larger parameters. The
+    envelope is min(u, v) from 1/2 on either way.
     """
-    t = 1.0 + gamma
+    return _on_unit(GiniUpperBound(gamma)._region_codes, u, v, int)
 
-    def axis_terms(x):
-        """The roots s and q and the quotients t/(1-2x), t/(4x), t/(1-x), t/x."""
-        return (np.sqrt((2.0 * x - 1.0) ** 2 + 3.0 * t),
-                np.sqrt(9.0 * (2.0 * x - 1.0) ** 2 + 11.0 * t),
-                t / (1.0 - 2.0 * x), t / (4.0 * x), t / (1.0 - x), t / x)
+
+class GiniUpperBound(PiecewiseEnvelope):
+    """Greatest value at (u, v) among all copulas with the given gamma; a
+    copula exactly for parameters in [0, 1/2) and at the endpoints.
+
+    Divisions by the centre lines and the square edges are left to IEEE
+    semantics: a diverging side makes its inequality false, which is the
+    limiting form of each region condition. O2's square root can go
+    negative outside its region and is clamped at zero there.
+    """
+
+    NAME, MEASURE, RANGE = "g-upper", "gamma", GINI_RANGE
+    W_UP_TO, M_FROM = -1.0, 0.5
+    LABELS = OMEGA_LABELS
+    gamma = property(lambda self: self.k)
+
+    def _axis(self, x):
+        """The roots s and q and the quotients t/(1-2x), t/(4x), t/(1-x), t/x,
+        where t = 1 + gamma."""
+        t = 1.0 + self.k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.sqrt((2.0 * x - 1.0) ** 2 + 3.0 * t),
+                    np.sqrt(9.0 * (2.0 * x - 1.0) ** 2 + 11.0 * t),
+                    t / (1.0 - 2.0 * x), t / (4.0 * x), t / (1.0 - x), t / x)
 
     # at parameter 0 the corner (0, 1) meets every O2 inequality with equality,
     # but O2's value there is 1/2, not the grounded 0; it is the only corner
     # point O2 ever holds at, so it is excluded (and (1, 0) from O8)
-    def half(a, b, axis_a, axis_b):
+    def _half(self, a, b, axis_a, axis_b):
+        t = 1.0 + self.k
         sa, qa, ha, ia, _, ka = axis_a
         sb, qb, _, _, jb, _ = axis_b
         masks = [
@@ -58,92 +82,25 @@ def _omega_masks(gamma, a, b):
                   & ((b + 2.0 * a) ** 2 <= 3.0 * a * (a + 2.0) - t))
         return masks, centre
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        axis_a, axis_b = axis_terms(a), axis_terms(b)
-    masks, centre = half(a, b, axis_a, axis_b)
-    masks_t, centre_t = half(b, a, axis_b, axis_a)
-    return [*masks, centre & centre_t, *masks_t[::-1]]
-
-
-def _omega_value(code, a, b, t):
-    """Value of piece O<code> at (a, b), where t = 1 + gamma.
-
-    O6..O9 are O4..O1 with a and b exchanged. O2's square root can go
-    negative outside its region and is clamped at zero there.
-    """
-    if code > 5:
-        return _omega_value(10 - code, b, a, t)
-    if code == 1:
-        return 0.5 * (a + b - 1.0 + np.sqrt((a + b - 1.0) ** 2 + t))
-    if code == 2:
-        arg = (a + b - 1.0) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * t
-        return 0.25 * (a + 3.0 * b - 2.0 + np.sqrt(np.maximum(arg, 0.0)))
-    if code == 3:
-        return (2.0 * a + 4.0 * b - 3.0 + np.sqrt((2.0 * a + 4.0 * b - 3.0) ** 2 + 7.0 * t)) / 7.0
-    if code == 4:
-        return (3.0 * a + 5.0 * b - 4.0 + np.sqrt((4.0 * a + 2.0 * b - 3.0) ** 2 + 7.0 * t)) / 7.0
-    # cancellation-free form of 5(a+b-1)^2 - 2(1-2a)(1-2b) + 2t
-    arg = (3.0 * (a + b - 1.0) ** 2 + 2.0 * (a - b) ** 2 + 2.0 * t) / 3.0
-    return 0.5 * (a + b - 1.0 + np.sqrt(arg))
+    def _piece(self, code, a, b):
+        t = 1.0 + self.k
+        if code == 1:
+            return 0.5 * (a + b - 1.0 + np.sqrt((a + b - 1.0) ** 2 + t))
+        if code == 2:
+            arg = (a + b - 1.0) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * t
+            return 0.25 * (a + 3.0 * b - 2.0 + np.sqrt(np.maximum(arg, 0.0)))
+        if code == 3:
+            return (2.0 * a + 4.0 * b - 3.0 + np.sqrt((2.0 * a + 4.0 * b - 3.0) ** 2 + 7.0 * t)) / 7.0
+        if code == 4:
+            return (3.0 * a + 5.0 * b - 4.0 + np.sqrt((4.0 * a + 2.0 * b - 3.0) ** 2 + 7.0 * t)) / 7.0
+        # cancellation-free form of 5(a+b-1)^2 - 2(1-2a)(1-2b) + 2t
+        arg = (3.0 * (a + b - 1.0) ** 2 + 2.0 * (a - b) ** 2 + 2.0 * t) / 3.0
+        return 0.5 * (a + b - 1.0 + np.sqrt(arg))
 
 
 def _omega_pieces(gamma, a, b):
-    """Region masks O1..O9 and the piece values, all evaluated everywhere.
-
-    The envelope evaluates each piece only where it governs; this
-    all-pieces view serves the tests of the pieces themselves.
-    """
-    return _omega_masks(gamma, a, b), [_omega_value(code, a, b, 1.0 + gamma)
-                                        for code in range(1, 10)]
-
-
-def omega_region(gamma, u, v):
-    """Code 1..9 of the piece governing the upper envelope at (u, v), else 0.
-
-    Pieces are tested in index order with verified boundary agreement.
-    Degenerate pieces (such as the diagonal at parameter -1) still report
-    their code. At 1/2 the pieces have shrunk to the centre (1/2, 1/2),
-    which rounding in O5's mask still reports as code 5, with diagonal
-    points within about 1e-9 of it, up to two floats above 1/2
-    (0.5000000000000002). Every code is 0 for larger parameters. The
-    envelope is min(u, v) from 1/2 on either way.
-    """
-    return _on_unit(GiniUpperBound(gamma)._region_codes, u, v, int)
-
-
-class GiniUpperBound(Envelope):
-    """Greatest value at (u, v) among all copulas with the given gamma; a
-    copula exactly for parameters in [0, 1/2) and at the endpoints.
-
-    Each node takes the first region whose mask holds, in index order, and
-    only that region's piece is evaluated there; nodes in none take M.
-    """
-
-    NAME, MEASURE, RANGE = "g-upper", "gamma", GINI_RANGE
-    W_UP_TO, M_FROM = -1.0, 0.5
-    LABELS = OMEGA_LABELS
-    gamma = property(lambda self: self.k)
-
-    def _bound(self, u, v, w, m):
-        # sorted by code (a radix sort on int8), the nodes of each piece form
-        # one contiguous slice; code 0 sorts first and keeps the value of M
-        codes = np.select(_omega_masks(self.k, u, v), _OMEGA_CODES, np.int8(0)).ravel()
-        ends = np.cumsum(np.bincount(codes, minlength=10))
-        order = np.argsort(codes, kind="stable")[ends[0]:]
-        ends -= ends[0]
-        a = np.broadcast_to(u, m.shape).ravel()[order]
-        b = np.broadcast_to(v, m.shape).ravel()[order]
-        vals = np.empty(order.size)
-        for code in range(1, 10):
-            piece = slice(ends[code - 1], ends[code])
-            if piece.start < piece.stop:
-                vals[piece] = _omega_value(code, a[piece], b[piece], 1.0 + self.k)
-        out = m.flatten()
-        out[order] = vals
-        return out.reshape(m.shape)
-
-    def _region_codes(self, u, v):
-        return np.select(_omega_masks(self.k, u, v), range(1, 10), 0)
+    """Region masks O1..O9 and piece values, all evaluated everywhere."""
+    return GiniUpperBound(gamma)._pieces(a, b)
 
 
 def gini_upper_bound(gamma, u, v):

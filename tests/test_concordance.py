@@ -210,18 +210,6 @@ def test_f_and_g_lower_nondecreasing_in_anchor_value():
             assert np.diff(vals).min() >= -1e-12
 
 
-def test_f_lower_consistent_with_nine_piece_form():
-    rng = np.random.default_rng(37)
-    for _ in range(200):
-        a, b = rng.uniform(0.02, 0.98, 2)
-        c = rng.uniform(0, min(a, b, 1 - a, 1 - b))
-        spec = cb.ExtremalSpec(a, b, c, "lower")
-        via_q = 0.5 * (3.0 * cb.q_m_extremal_lower(spec) - 1.0)
-        assert cb.f_lower(a, b, spec.anchor_value) == pytest.approx(via_q, abs=1e-12)
-        via_g = cb.q_m_extremal_lower(spec) + cb.q_w_extremal_lower(spec)
-        assert cb.g_lower(a, b, spec.anchor_value) == pytest.approx(via_g, abs=1e-12)
-
-
 def test_measure_clamping_to_theoretical_ranges():
     class Slightly(cb.BivariateFunction):
         label = "above-M"

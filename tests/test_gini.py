@@ -86,8 +86,8 @@ def test_gathered_pieces_match_the_all_pieces_form(k):
                          (lower(u, v), _lower_reference(k, u, v))):
             assert got.shape == ref.shape and _bits(got) == _bits(ref)
     # numpy scalars square by pow(), which can differ from x * x in the last
-    # bit; the envelope evaluates its pieces on one-element arrays even for
-    # 0-d input, so the reference is computed on those
+    # bit; a 0-d call runs as the one-element array call, so the reference is
+    # computed on those
     for a, b in np.random.default_rng(89).random((40, 2)).tolist() + [[0.5, 0.5]]:
         one = np.array([a]), np.array([b])
         assert _bits(upper(np.asarray(a), np.asarray(b))) == _bits(_upper_reference(k, *one))
