@@ -183,7 +183,8 @@ def cmd_region(args) -> CsvTable:
         (lo_k, hi_k), range_fn = concordance.FOOTRULE_RANGE, regions.beta_range_given_footrule
     else:
         (lo_k, hi_k), range_fn = concordance.GINI_RANGE, regions.beta_range_given_gini
-    count = int(round((hi_k - lo_k) / args.step))
+    # round up, so that the last k, clipped to hi_k, reaches the top
+    count = int(np.ceil((hi_k - lo_k) / args.step - 1e-9))
     ks = np.minimum(lo_k + args.step * np.arange(count + 1), hi_k)
     beta_lo, beta_hi = zip(*(range_fn(k) for k in ks.tolist()))
     return CsvTable(["k", "beta_lo", "beta_hi"], [ks, beta_lo, beta_hi])

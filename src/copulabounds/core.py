@@ -176,22 +176,15 @@ class PiecewiseEnvelope(Envelope):
         return np.select(masks, np.arange(1, len(masks) + 1, dtype=np.int8), np.int8(0))
 
     def _bound(self, u, v, w, m):
-        # sorted by code (a radix sort on int8), the nodes of each piece form
-        # one contiguous slice; code 0 sorts first and keeps the value of M
-        codes = self._region_codes(u, v).ravel()
-        ends = np.cumsum(np.bincount(codes, minlength=len(self.LABELS)))
-        order = np.argsort(codes, kind="stable")[ends[0]:]
-        ends -= ends[0]
-        a = np.broadcast_to(u, m.shape).ravel()[order]
-        b = np.broadcast_to(v, m.shape).ravel()[order]
-        vals = np.empty(order.size)
+        # each piece runs only on the nodes of its code; code 0 keeps M
+        codes = self._region_codes(u, v)
+        a, b = np.broadcast_arrays(u, v)
+        out = m.copy()
         for code in range(1, len(self.LABELS)):
-            piece = slice(ends[code - 1], ends[code])
-            if piece.start < piece.stop:
-                vals[piece] = self._mirrored(code, a[piece], b[piece])
-        out = m.flatten()
-        out[order] = vals
-        return out.reshape(m.shape)
+            nodes = codes == code
+            if nodes.any():
+                out[nodes] = self._mirrored(code, a[nodes], b[nodes])
+        return out
 
 
 class FrechetLower(BivariateFunction):

@@ -105,11 +105,6 @@ class FootruleUpperBound(PiecewiseEnvelope):
         return 0.5 * (a + b - 1.0 + np.sqrt(np.maximum(arg, 0.0)))
 
 
-def _delta_pieces(phi, a, b):
-    """Region masks D1..D7 and piece values, all evaluated everywhere."""
-    return FootruleUpperBound(phi)._pieces(a, b)
-
-
 def footrule_upper_bound(phi, u, v):
     """Greatest value at (u, v) among all copulas with the given footrule."""
     return FootruleUpperBound(phi)(u, v)

@@ -98,11 +98,6 @@ class GiniUpperBound(PiecewiseEnvelope):
         return 0.5 * (a + b - 1.0 + np.sqrt(arg))
 
 
-def _omega_pieces(gamma, a, b):
-    """Region masks O1..O9 and piece values, all evaluated everywhere."""
-    return GiniUpperBound(gamma)._pieces(a, b)
-
-
 def gini_upper_bound(gamma, u, v):
     """Greatest value at (u, v) among all copulas with the given gamma."""
     return GiniUpperBound(gamma)(u, v)

@@ -94,6 +94,12 @@ def test_region_curves(capsys):
     assert "1.000000,1.000000,1.000000" in lines
     code, out, _ = run_cli(capsys, "region", "gamma-beta", "--step", "0.1")
     assert "-1.000000,-1.000000,-1.000000" in out.splitlines()
+    # a step that does not divide the range still ends on the top of it, once
+    for pair, step, below in (("gamma-beta", "0.09", "0.980000"), ("phi-beta", "0.07", "0.970000")):
+        code, out, _ = run_cli(capsys, "region", pair, "--step", step)
+        assert code == 0
+        assert out.splitlines()[-1] == "1.000000,1.000000,1.000000"
+        assert out.splitlines()[-2].startswith(below + ",")
     code, _, err = run_cli(capsys, "region", "phi-beta", "--step", "0.5")
     assert code == 3
 

@@ -11,8 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import copulabounds as cb
-from copulabounds.footrule import _delta_pieces
-from copulabounds.gini import _omega_pieces
 
 NODES = np.arange(129) / 128
 RNG_POINTS = np.random.default_rng(41).uniform(0.0, 1.0, (2, 20000))
@@ -20,23 +18,23 @@ POINTS = (np.concatenate([np.repeat(NODES, NODES.size), RNG_POINTS[0]]),
           np.concatenate([np.tile(NODES, NODES.size), RNG_POINTS[1]]))
 
 
-def _selected_raw_values(pieces, param):
+def _selected_raw_values(cls, param):
     """Per point, the index of the first mask that holds (-1 for none) and
     that piece's value before the final [W, M] clamp."""
     u, v = POINTS
-    masks, values = pieces(param, u, v)
+    masks, values = cls(param)._pieces(u, v)
     masks, values = np.stack(masks), np.stack(values)
     first = np.where(masks.any(axis=0), masks.argmax(axis=0), -1)
     raw = np.take_along_axis(values, np.maximum(first, 0)[None], axis=0)[0]
     return first, raw
 
 
-def _assert_clamp_honest(pieces, params, n_pieces):
+def _assert_clamp_honest(cls, params, n_pieces):
     u, v = POINTS
     w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
     seen = set()
     for param in params:
-        first, raw = _selected_raw_values(pieces, param)
+        first, raw = _selected_raw_values(cls, param)
         sel = first >= 0
         excess = np.maximum(w - raw, raw - m)[sel]
         assert excess.size == 0 or excess.max() <= 1e-12, (param, float(excess.max()))
@@ -47,13 +45,13 @@ def _assert_clamp_honest(pieces, params, n_pieces):
 def test_delta_pieces_need_no_clamp():
     params = np.concatenate([np.linspace(-0.5, 0.25, 16),
                              np.random.default_rng(5).uniform(-0.5, 0.25, 8)])
-    _assert_clamp_honest(_delta_pieces, params, 7)
+    _assert_clamp_honest(cb.FootruleUpperBound, params, 7)
 
 
 def test_omega_pieces_need_no_clamp():
     params = np.concatenate([np.linspace(-1.0, 0.5, 16)[1:],
                              np.random.default_rng(6).uniform(-1.0, 0.5, 8)])
-    _assert_clamp_honest(_omega_pieces, params, 9)
+    _assert_clamp_honest(cb.GiniUpperBound, params, 9)
 
 
 # The measure of an extremal copula is exact only up to its rounding, and

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import copulabounds as cb
-from copulabounds.footrule import _delta_pieces
 
 GRID = np.arange(101) / 100
 U, V = GRID[:, None], GRID[None, :]
@@ -116,7 +115,7 @@ def test_bounds_monotone_in_parameter():
         prev_lo, prev_hi = lo, hi
 
 
-def _assert_boundary_pairs(param, region_fn, pieces_fn, curves, min_points):
+def _assert_boundary_pairs(param, region_fn, cls, curves, min_points):
     """Check the two governing expressions agree on shared boundary curves.
 
     Each curve supplies candidate points plus the axis to nudge across; a
@@ -138,7 +137,7 @@ def _assert_boundary_pairs(param, region_fn, pieces_fn, curves, min_points):
         a, b = a[qual], b[qual]
         if a.size == 0:
             continue
-        _, values = pieces_fn(param, a, b)
+        _, values = cls(param)._pieces(a, b)
         lhs = values[left - 1] if left else np.minimum(a, b)
         rhs = values[right - 1] if right else np.minimum(a, b)
         assert np.abs(lhs - rhs).max() <= 1e-9, (left, right, param)
@@ -166,7 +165,7 @@ def test_adjacent_piece_expressions_agree_on_boundaries():
             # piece 4 against the min(u, v) frontier (cap arc)
             (4, 0, np.sqrt(np.maximum(2.0 * (1.0 - phi) / 3.0 - (b - 1.0) ** 2, 0.0)), b, 0),
         ]
-        _assert_boundary_pairs(phi, cb.delta_region, _delta_pieces, curves, 800)
+        _assert_boundary_pairs(phi, cb.delta_region, cb.FootruleUpperBound, curves, 800)
 
 
 def test_upper_bound_lipschitz_across_frontiers():

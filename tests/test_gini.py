@@ -3,7 +3,6 @@ import pytest
 
 import copulabounds as cb
 from copulabounds.core import DERIV_STEP, PROBE_LEVELS
-from copulabounds.gini import _omega_pieces
 
 GRID = np.arange(101) / 100
 U, V = GRID[:, None], GRID[None, :]
@@ -37,22 +36,22 @@ def test_omega_region_examples():
     # closures at once; dispatch picks the first and the piece values agree
     code = cb.omega_region(-1.0, 0.5, 0.5)
     assert code != 0
-    masks, values = _omega_pieces(-1.0, np.float64(0.5), np.float64(0.5))
+    masks, values = cb.GiniUpperBound(-1.0)._pieces(np.float64(0.5), np.float64(0.5))
     selected = [float(values[k]) for k in range(9) if masks[k]]
     assert 5 in [k + 1 for k in range(9) if masks[k]]
     assert np.ptp(selected) <= 1e-12
 
 
-def _upper_reference(k, u, v):
+def _upper_reference(cls, k, u, v):
     """The all-pieces form: every piece on every node, the first mask wins."""
     w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
-    return np.clip(np.select(*_omega_pieces(k, u, v), m), w, m)
+    return np.clip(np.select(*cls(k)._pieces(u, v), m), w, m)
 
 
 def _lower_reference(k, u, v):
     """GiniLowerBound(-k) as the reflection of the all-pieces upper form."""
     w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
-    return np.clip(u - _upper_reference(k, u, 1.0 - v), w, m)
+    return np.clip(u - _upper_reference(cb.GiniUpperBound, k, u, 1.0 - v), w, m)
 
 
 def _caller_shapes():
@@ -76,30 +75,40 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
-# the last four parameters leave only a few pieces, or none, on these nodes
-@pytest.mark.parametrize("k", (-0.9, -0.6, -0.3, 0.2, np.nextafter(-1.0, 0.0), -0.05, 0.49,
-                               np.nextafter(0.5, 0.0)))
-def test_gathered_pieces_match_the_all_pieces_form(k):
-    upper, lower = cb.GiniUpperBound(k), cb.GiniLowerBound(-k)
+# the last four gamma parameters leave only a few pieces, or none, on these
+# nodes; the footrule ones run up to the floats next to its ends
+GATHERED_CASES = (
+    [pytest.param(cb.GiniUpperBound, k, id=str(k))
+     for k in (-0.9, -0.6, -0.3, 0.2, np.nextafter(-1.0, 0.0), -0.05, 0.49, np.nextafter(0.5, 0.0))]
+    + [pytest.param(cb.FootruleUpperBound, k, id=f"f-upper:{k}")
+       for k in (-0.45, -0.3, -0.15, 0.0, 0.2, -0.5, np.nextafter(-0.5, 0.0), np.nextafter(0.25, 0.0))])
+
+
+@pytest.mark.parametrize("cls,k", GATHERED_CASES)
+def test_gathered_pieces_match_the_all_pieces_form(cls, k):
+    cases = [(cls(k), lambda u, v: _upper_reference(cls, k, u, v))]
+    if cls is cb.GiniUpperBound:
+        cases.append((cb.GiniLowerBound(-k), lambda u, v: _lower_reference(k, u, v)))
     for u, v in _caller_shapes():
-        for got, ref in ((upper(u, v), _upper_reference(k, u, v)),
-                         (lower(u, v), _lower_reference(k, u, v))):
+        for func, reference in cases:
+            got, ref = func(u, v), reference(u, v)
             assert got.shape == ref.shape and _bits(got) == _bits(ref)
     # numpy scalars square by pow(), which can differ from x * x in the last
     # bit; a 0-d call runs as the one-element array call, so the reference is
     # computed on those
     for a, b in np.random.default_rng(89).random((40, 2)).tolist() + [[0.5, 0.5]]:
-        one = np.array([a]), np.array([b])
-        assert _bits(upper(np.asarray(a), np.asarray(b))) == _bits(_upper_reference(k, *one))
-        assert _bits(lower(np.asarray(a), np.asarray(b))) == _bits(_lower_reference(k, *one))
+        for func, reference in cases:
+            got = func(np.asarray(a), np.asarray(b))
+            assert _bits(got) == _bits(reference(np.array([a]), np.array([b])))
 
 
 def test_gathered_pieces_cover_every_code():
-    seen = set()
-    for k in (-0.9, 0.49):
-        for u, v in _caller_shapes():
-            seen.update(np.unique(cb.GiniUpperBound(k)._region_codes(u, v)).tolist())
-    assert seen == set(range(10))
+    for cls, ks in ((cb.GiniUpperBound, (-0.9, 0.49)), (cb.FootruleUpperBound, (-0.45, 0.2))):
+        seen = set()
+        for k in ks:
+            for u, v in _caller_shapes():
+                seen.update(np.unique(cls(k)._region_codes(u, v)).tolist())
+        assert seen == set(range(len(cls.LABELS))), cls.__name__
 
 
 def test_omega_region_dynamics():
@@ -177,7 +186,7 @@ def test_bounds_monotone_in_parameter():
         prev_lo, prev_hi = lo, hi
 
 
-def _assert_boundary_pairs(param, region_fn, pieces_fn, curves, min_points):
+def _assert_boundary_pairs(param, region_fn, cls, curves, min_points):
     eps = 1e-7
     total = 0
     for left, right, a, b, axis in curves:
@@ -193,7 +202,7 @@ def _assert_boundary_pairs(param, region_fn, pieces_fn, curves, min_points):
         a, b = a[qual], b[qual]
         if a.size == 0:
             continue
-        _, values = pieces_fn(param, a, b)
+        _, values = cls(param)._pieces(a, b)
         lhs = values[left - 1] if left else np.minimum(a, b)
         rhs = values[right - 1] if right else np.minimum(a, b)
         assert np.abs(lhs - rhs).max() <= 1e-9, (left, right, param)
@@ -230,7 +239,7 @@ def test_adjacent_piece_expressions_agree_on_boundaries():
             # where the root does not exist are dropped by the nudge filter
             (2, 0, a, 0.5 * (1.0 + 3.0 * a - np.sqrt(np.maximum(5.0 * a * a - 2.0 * a + t, 0.0))), 1),
         ]
-        _assert_boundary_pairs(gamma, cb.omega_region, _omega_pieces, curves, 800)
+        _assert_boundary_pairs(gamma, cb.omega_region, cb.GiniUpperBound, curves, 800)
 
 
 def test_upper_bound_lipschitz_across_frontiers():

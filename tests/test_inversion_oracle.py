@@ -9,13 +9,15 @@ the same holds for gamma with g_lower and g_upper. So at every point
 
 and likewise for gamma. The extremal-family measures share no formula with
 the region pieces D1..D7 and O1..O9, so bisecting them checks every piece,
-and the beta ranges at the centre of the square, to rounding.
+and the beta ranges at the centre of the square, to rounding. Which branch
+of Q(C, M) the inverse lands on also fixes each region label.
 """
 
 import numpy as np
 import pytest
 
 import copulabounds as cb
+from copulabounds.concordance import _triangle_frame
 
 TOL = 1e-13
 NODES = np.arange(17) / 16
@@ -72,3 +74,50 @@ def test_beta_ranges_are_the_envelopes_at_the_centre(beta_range, lower, upper, m
         lo, hi = beta_range(k)
         assert abs(lo - (4.0 * lower(k)(0.5, 0.5) - 1.0)) <= TOL, k
         assert abs(hi - (4.0 * upper(k)(0.5, 0.5) - 1.0)) <= TOL, k
+
+
+# Fold a node into the reference triangle as _triangle_frame does (fold 2 * r
+# + t: r when a + b > 1 and the node is reflected through the centre, t when
+# then a > b and it is transposed) and name the branch of Q(C, M) in
+# _q_lower that holds at d = upper(k)(a, b): 1 where b >= d + 1/2, 2 where
+# 2b >= 1 + d, 3 where b >= a + d, else 4. The pair fixes every nonzero label.
+LABEL_TABLES = (
+    (cb.FootruleUpperBound, (-0.45, -0.35, -0.2, 0.1), {
+        (0, 2): "D1", (0, 3): "D2", (0, 4): "D4",
+        (1, 2): "D7", (1, 3): "D6", (1, 4): "D4",
+        (2, 2): "D7", (2, 3): "D5", (2, 4): "D4",
+        (3, 2): "D1", (3, 3): "D3", (3, 4): "D4",
+    }),
+    (cb.GiniUpperBound, (-0.9, -0.75, -0.6, -0.4, -0.2, 0.2), {
+        (0, 1): "O1", (0, 2): "O2", (0, 3): "O3", (0, 4): "O5",
+        (1, 1): "O9", (1, 2): "O8", (1, 3): "O7", (1, 4): "O5",
+        (2, 1): "O9", (2, 2): "O8", (2, 3): "O6", (2, 4): "O5",
+        (3, 1): "O1", (3, 2): "O2", (3, 3): "O4", (3, 4): "O5",
+    }),
+)
+LABEL_NODES = np.arange(201) / 200
+LABEL_RNG_POINTS = np.random.default_rng(59).uniform(0.0, 1.0, (2, 20000))
+LABEL_POINTS = (np.concatenate([np.repeat(LABEL_NODES, LABEL_NODES.size), LABEL_RNG_POINTS[0]]),
+                np.concatenate([np.tile(LABEL_NODES, LABEL_NODES.size), LABEL_RNG_POINTS[1]]))
+
+
+@pytest.mark.parametrize("cls,ks,table", LABEL_TABLES, ids=[c[0].__name__ for c in LABEL_TABLES])
+def test_fold_and_branch_fix_each_label(cls, ks, table):
+    a, b = LABEL_POINTS
+    reflected = a + b > 1.0
+    fold = 2 * reflected + np.where(reflected, b > a, a > b)
+    seen = {}
+    for k in ks:
+        env = cls(k)
+        codes = env._region_codes(a, b)
+        lo, hi, d = _triangle_frame(a, b, env(a, b))
+        gaps = np.stack([hi - d - 0.5, 2.0 * hi - 1.0 - d, hi - lo - d])
+        branch = np.select(list(gaps >= 0.0), [1, 2, 3], 4)
+        # ties: a piece breakpoint, the diagonal or the anti-diagonal
+        tie = ((np.abs(gaps).min(axis=0) <= 1e-12) | (np.abs(a - b) <= 1e-12)
+               | (np.abs(a + b - 1.0) <= 1e-12))
+        keep = (codes != 0) & ~tie
+        for f, piece, code in set(zip(fold[keep].tolist(), branch[keep].tolist(),
+                                      codes[keep].tolist())):
+            seen.setdefault((f, piece), set()).add(cls.LABELS[code])
+    assert seen == {key: {label} for key, label in table.items()}
