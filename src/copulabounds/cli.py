@@ -184,8 +184,10 @@ def cmd_region(args) -> CsvTable:
     else:
         (lo_k, hi_k), range_fn = concordance.GINI_RANGE, regions.beta_range_given_gini
     # round up, so that the last k, clipped to hi_k, reaches the top
-    count = int(np.ceil((hi_k - lo_k) / args.step - 1e-9))
-    ks = np.minimum(lo_k + args.step * np.arange(count + 1), hi_k)
+    count = np.ceil((hi_k - lo_k) / args.step - 1e-9)
+    if not np.isfinite(count):
+        raise core.OutOfRangeError(f"step {args.step:g} is too small")
+    ks = np.minimum(lo_k + args.step * np.arange(int(count) + 1), hi_k)
     beta_lo, beta_hi = zip(*(range_fn(k) for k in ks.tolist()))
     return CsvTable(["k", "beta_lo", "beta_hi"], [ks, beta_lo, beta_hi])
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtremalSpec, GridFunction, OutOfRangeError, _check_range, _finite, grid_nodes
+from .core import (ExtremalSpec, GridFunction, OutOfRangeError, _check_range, _finite, _whole,
+                   grid_nodes)
 
 FOOTRULE_RANGE = (-0.5, 1.0)
 GINI_RANGE = (-1.0, 1.0)
@@ -44,6 +45,7 @@ class QuadratureConfig:
     n: int = 2048
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _whole(self.n, "panel count"))
         if self.n < 2 or self.n % 2:
             raise ValueError("panel count must be even and >= 2")
 

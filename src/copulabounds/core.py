@@ -74,6 +74,18 @@ def _check_range(value, lo, hi, what) -> float:
     return min(max(value, lo), hi)
 
 
+def _whole(x, what) -> int:
+    """``x`` as an int; anything that is not a whole number (a fraction, an
+    infinity, NaN, a string) raises ValueError instead of being truncated."""
+    try:
+        n = int(x)
+    except (OverflowError, TypeError, ValueError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"{what} must be a whole number, got {x!r}")
+    return n
+
+
 def grid_nodes(n: int) -> np.ndarray:
     """The n + 1 equispaced nodes i/n of [0, 1]."""
     return np.arange(n + 1) / n
@@ -150,11 +162,39 @@ class PiecewiseEnvelope(Envelope):
 
     Region and piece N + 1 - c are region and piece c at the transposed
     point; the centre region is its own transpose. Subclasses declare the
-    ``LABELS`` "none" and 1..N, ``_axis(x)`` (terms of one coordinate that
-    the masks share), ``_half(a, b, axis_a, axis_b)`` (the masks of the
-    regions before the centre and one half of the centre mask) and
-    ``_piece(code, a, b)`` for codes up to the centre.
+    ``LABELS`` "none" and 1..N, ``_tau``, ``_axis(x)`` (terms of one
+    coordinate that the masks share), ``_half(a, b, axis_a, axis_b)`` (the
+    masks of the regions before the centre and one half of the centre mask)
+    and ``_piece(code, a, b)`` for codes up to the centre.
+
+    No region reaches a row or column x with 6x(1 - x) < tau. The regions
+    cover the points where the envelope lies below M, which are those where
+    the least measure of a copula with C(a, b) = M(a, b) exceeds the
+    parameter, and their boundaries. On a row or column x that measure is
+    largest on the diagonal, at 6x(1 - x) - 1 for gamma and 3x(1 - x) - 1/2
+    for the footrule; so tau = 1 + gamma, or 1 + 2 phi.
     """
+
+    def _block(self, u, v):
+        """The ``np.ix_`` index of the rows and columns (of the broadcast
+        shape) that a region can reach, and u and v cut to it; None when
+        there are none. A row or column is kept where 6x(1 - x) > tau - 1e-9
+        holds for both coordinates somewhere on it; the margin covers the
+        rounding of the masks. Axes of length 1 are not cut, so u and v
+        still broadcast and the per-axis terms of ``_axis`` stay shared."""
+        cut = self._tau - 1e-9
+        near = (6.0 * u * (1.0 - u) > cut) & (6.0 * v * (1.0 - v) > cut)
+        nd = near.ndim
+        keep = [near.any(axis=tuple(j for j in range(nd) if j != i)).nonzero()[0]
+                for i in range(nd)]
+        if not all(k.size for k in keep):
+            return None
+        # leading axes of length 1, so that axis i of u, v and near agree
+        u, v = u[(None,) * (nd - u.ndim)], v[(None,) * (nd - v.ndim)]
+        for i, k in enumerate(keep):
+            u = u.take(k, axis=i) if u.shape[i] > 1 else u
+            v = v.take(k, axis=i) if v.shape[i] > 1 else v
+        return np.ix_(*keep), u, v
 
     def _masks(self, u, v):
         axis_u, axis_v = self._axis(u), self._axis(v)
@@ -170,20 +210,35 @@ class PiecewiseEnvelope(Envelope):
         """Masks and values of all pieces on every node, for the tests."""
         return self._masks(u, v), [self._mirrored(c, u, v) for c in range(1, len(self.LABELS))]
 
-    def _region_codes(self, u, v):
+    def _select(self, u, v):
         # the first region whose mask holds, else 0
         masks = self._masks(u, v)
         return np.select(masks, np.arange(1, len(masks) + 1, dtype=np.int8), np.int8(0))
 
+    def _region_codes(self, u, v):
+        codes = np.zeros(np.broadcast(u, v).shape, dtype=np.int8)
+        block = self._block(u, v)
+        if block:
+            ix, a, b = block
+            codes[ix] = self._select(a, b)
+        return codes
+
     def _bound(self, u, v, w, m):
-        # each piece runs only on the nodes of its code; code 0 keeps M
-        codes = self._region_codes(u, v)
-        a, b = np.broadcast_arrays(u, v)
-        out = m.copy()
+        # each piece runs only on the nodes of its code, inside the block;
+        # code 0 and everything outside the block keep M
+        block = self._block(u, v)
+        if not block:
+            return m
+        ix, a, b = block
+        codes = self._select(a, b)
+        vals = np.minimum(a, b)  # M on the block
+        a, b = np.broadcast_arrays(a, b)
         for code in range(1, len(self.LABELS)):
             nodes = codes == code
             if nodes.any():
-                out[nodes] = self._mirrored(code, a[nodes], b[nodes])
+                vals[nodes] = self._mirrored(code, a[nodes], b[nodes])
+        out = m.copy()
+        out[ix] = vals
         return out
 
 
@@ -360,16 +415,12 @@ def extremal_value(spec: ExtremalSpec, u, v):
 # ---------------------------------------------------------------------------
 
 def _whole_numbers(values, what) -> tuple:
-    """``values`` as ints; an entry that is not a whole number (a fraction, an
-    infinity, NaN, a string) raises InvalidSpecError instead of being truncated."""
+    """``values`` as ints by the rule of ``_whole``; InvalidSpecError otherwise."""
     values = tuple(values)
     try:
-        ints = tuple(int(x) for x in values)
-    except (OverflowError, ValueError):
-        ints = None
-    if ints != values:
-        raise InvalidSpecError(f"{what} entries must be whole numbers, got {values}")
-    return ints
+        return tuple(_whole(x, what) for x in values)
+    except ValueError:
+        raise InvalidSpecError(f"{what} entries must be whole numbers, got {values}") from None
 
 
 @dataclass(frozen=True)
@@ -505,6 +556,7 @@ def check_quasicopula(func, n: int = 200, tol: float = 1e-9) -> AxiomReport:
     off-grid Lipschitz violations, so a clean grid report certifies the
     axioms up to O(1/n).
     """
+    n = _whole(n, "n")
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0.0 < tol < np.inf:
@@ -663,6 +715,7 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     A non-finite value of the conditional CDF, in the probe table or in a
     bisection step, raises ValueError.
     """
+    count = _whole(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     # two adjacent doubles in [1/2, 1) lie 2**-53 apart and their midpoint is

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concordance import simpson_weights
-from .core import grid_nodes
+from .core import _whole, grid_nodes
 from .footrule import FootruleLowerBound, FootruleUpperBound
 from .gini import GiniLowerBound, GiniUpperBound
 
@@ -59,6 +59,7 @@ def effectiveness_score(kind: str, k: float, n: int = 2048) -> EffectivenessRow:
     broken and raises.
     """
     upper, lower = _bounds_for(kind, k)
+    n = _whole(n, "panel count")
     if n < 64 or n % 2:
         raise ValueError("panel count must be even and >= 64")
     t = grid_nodes(n)

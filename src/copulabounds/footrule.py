@@ -73,6 +73,7 @@ class FootruleUpperBound(PiecewiseEnvelope):
     M_FROM = 0.25
     LABELS = DELTA_LABELS
     phi = property(lambda self: self.k)
+    _tau = property(lambda self: self._p2)
 
     def __init__(self, phi):
         super().__init__(phi)

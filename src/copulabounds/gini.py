@@ -48,6 +48,7 @@ class GiniUpperBound(PiecewiseEnvelope):
     W_UP_TO, M_FROM = -1.0, 0.5
     LABELS = OMEGA_LABELS
     gamma = property(lambda self: self.k)
+    _tau = property(lambda self: 1.0 + self.k)
 
     def _axis(self, x):
         """The roots s and q and the quotients t/(1-2x), t/(4x), t/(1-x), t/x,

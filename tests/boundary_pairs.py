@@ -1,0 +1,35 @@
+"""Boundary agreement of adjacent envelope pieces, shared by the footrule
+and gamma tests."""
+
+import numpy as np
+
+
+def assert_boundary_pairs(cls, param, curves, min_points):
+    """Check the two governing expressions agree on shared boundary curves.
+
+    Each curve supplies candidate points plus the axis to nudge across; a
+    point qualifies when the two sides of the curve really dispatch to the
+    stated pair of pieces (code 0 stands for the min(u, v) fallback).
+    """
+    bound = cls(param)
+    eps = 1e-7
+    total = 0
+    for left, right, a, b, axis in curves:
+        ok = (a > eps) & (a < 1 - eps) & (b > eps) & (b < 1 - eps)
+        a, b = a[ok], b[ok]
+        if a.size == 0:
+            continue
+        da, db = (eps, 0.0) if axis == 0 else (0.0, eps)
+        lo_codes = bound._region_codes(a - da, b - db)
+        hi_codes = bound._region_codes(a + da, b + db)
+        qual = (((lo_codes == left) & (hi_codes == right))
+                | ((lo_codes == right) & (hi_codes == left)))
+        a, b = a[qual], b[qual]
+        if a.size == 0:
+            continue
+        _, values = bound._pieces(a, b)
+        lhs = values[left - 1] if left else np.minimum(a, b)
+        rhs = values[right - 1] if right else np.minimum(a, b)
+        assert np.abs(lhs - rhs).max() <= 1e-9, (left, right, param)
+        total += a.size
+    assert total >= min_points

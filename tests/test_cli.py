@@ -102,6 +102,11 @@ def test_region_curves(capsys):
         assert out.splitlines()[-2].startswith(below + ",")
     code, _, err = run_cli(capsys, "region", "phi-beta", "--step", "0.5")
     assert code == 3
+    # a step so small that the number of steps overflows fails the same way
+    for step in ("1e-320", "1e-200"):
+        code, out, err = run_cli(capsys, "region", "phi-beta", "--step", step)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sample_comonotone_rows_coincide(capsys):

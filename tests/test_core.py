@@ -250,6 +250,23 @@ def test_check_quasicopula_validates_arguments():
             cb.check_quasicopula(cb.M, n=20, tol=tol)
 
 
+def test_counts_must_be_whole_numbers():
+    # a whole float counts as its int; anything else fails at entry, not
+    # deep inside numpy
+    entries = [
+        (lambda n: cb.QuadratureConfig(n).n, 64),
+        (lambda n: cb.effectiveness_score("gini", 0.1, n).m, 64),
+        (lambda n: cb.sample_conditional(cb.PI, n, 0).tobytes(), 10),
+        (lambda n: cb.check_quasicopula(cb.PI, n), 20),
+    ]
+    for entry, n in entries:
+        assert entry(float(n)) == entry(n)
+        for bad in (n + 0.5, np.nan, np.inf, str(n)):
+            with pytest.raises(ValueError, match="whole number"):
+                entry(bad)
+    assert type(cb.QuadratureConfig(64.0).n) is int
+
+
 # ---------------------------------------------------------------------------
 # shuffles
 # ---------------------------------------------------------------------------

@@ -155,6 +155,44 @@ def test_region_codes_live_on_the_classes(cls, expected, ks):
     assert seen == set(range(len(cls.LABELS)))
 
 
+# No region reaches a row or column x with 6x(1 - x) < tau, so the block
+# path (masks, codes and pieces only on the rows and columns where
+# 6x(1 - x) > tau - 1e-9) must equal the full-mask form everywhere. The
+# points straddle the box edge 1/2 +- r, r = sqrt(1/4 - tau/6), by
+# |delta| <= 1e-7; the parameters include the floats next to -1, -1/2, 1/4
+# and 1/2 that lie in each range.
+BLOCK_DELTAS = np.array([-1e-7, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-7])
+BLOCK_PARAMS = {
+    cb.FootruleUpperBound: (np.nextafter(-0.5, 0.0), -0.45, -0.3, -0.1, 0.0, 0.15,
+                            np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0),
+                            np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), -0.5),
+    cb.GiniUpperBound: (np.nextafter(-1.0, 0.0), -0.9, -0.7, np.nextafter(-0.5, -1.0),
+                        np.nextafter(-0.5, 0.0), -0.2, np.nextafter(0.25, 0.0),
+                        np.nextafter(0.25, 1.0), 0.4, np.nextafter(0.5, 0.0),
+                        np.nextafter(0.5, 1.0), -1.0),
+}
+BLOCK_CASES = [pytest.param(cls, k, id=f"{cls.NAME}:{float(k)!r}")
+               for cls, ks in BLOCK_PARAMS.items() for k in ks]
+BLOCK_RANDOM = tuple(np.random.default_rng(47).uniform(0.0, 1.0, (2, 20000)))
+
+
+@pytest.mark.parametrize("cls,k", BLOCK_CASES)
+def test_no_region_outside_the_block(cls, k):
+    bound = cls(k)
+    r = np.sqrt(max(0.25 - bound._tau / 6.0, 0.0))
+    edge = np.clip(np.concatenate([0.5 - r - BLOCK_DELTAS, 0.5 + r + BLOCK_DELTAS]), 0.0, 1.0)
+    t = np.concatenate([edge, np.arange(257) / 256])
+    for u, v in ((t[:, None], t[None, :]), BLOCK_RANDOM):
+        w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
+        masks, values = bound._pieces(u, v)
+        codes = np.select(masks, np.arange(1, len(masks) + 1), 0)
+        np.testing.assert_array_equal(bound._region_codes(u, v), codes)
+        # _bound is the block path of _value, also past M_FROM where _value
+        # returns M without it
+        got = np.clip(bound._bound(u, v, w, m), w, m)
+        assert got.tobytes() == np.clip(np.select(masks, values, m), w, m).tobytes()
+
+
 # Values and region codes of the four envelope classes, hashed. The
 # parameters cover each measure's range on a 0.05 grid, both endpoints, the
 # short-circuit boundaries and the floats just past the parameters where the

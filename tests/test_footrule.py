@@ -3,6 +3,8 @@ import pytest
 
 import copulabounds as cb
 
+from boundary_pairs import assert_boundary_pairs
+
 GRID = np.arange(101) / 100
 U, V = GRID[:, None], GRID[None, :]
 
@@ -115,36 +117,6 @@ def test_bounds_monotone_in_parameter():
         prev_lo, prev_hi = lo, hi
 
 
-def _assert_boundary_pairs(param, region_fn, cls, curves, min_points):
-    """Check the two governing expressions agree on shared boundary curves.
-
-    Each curve supplies candidate points plus the axis to nudge across; a
-    point qualifies when the two sides of the curve really dispatch to the
-    stated pair of pieces (code 0 stands for the min(u, v) fallback).
-    """
-    eps = 1e-7
-    total = 0
-    for left, right, a, b, axis in curves:
-        ok = (a > eps) & (a < 1 - eps) & (b > eps) & (b < 1 - eps)
-        a, b = a[ok], b[ok]
-        if a.size == 0:
-            continue
-        da, db = (eps, 0.0) if axis == 0 else (0.0, eps)
-        lo_codes = region_fn(param, a - da, b - db)
-        hi_codes = region_fn(param, a + da, b + db)
-        qual = (((lo_codes == left) & (hi_codes == right))
-                | ((lo_codes == right) & (hi_codes == left)))
-        a, b = a[qual], b[qual]
-        if a.size == 0:
-            continue
-        _, values = cls(param)._pieces(a, b)
-        lhs = values[left - 1] if left else np.minimum(a, b)
-        rhs = values[right - 1] if right else np.minimum(a, b)
-        assert np.abs(lhs - rhs).max() <= 1e-9, (left, right, param)
-        total += a.size
-    assert total >= min_points
-
-
 def test_adjacent_piece_expressions_agree_on_boundaries():
     rng = np.random.default_rng(29)
     for phi in (-0.45, -0.4, -0.35):
@@ -165,7 +137,7 @@ def test_adjacent_piece_expressions_agree_on_boundaries():
             # piece 4 against the min(u, v) frontier (cap arc)
             (4, 0, np.sqrt(np.maximum(2.0 * (1.0 - phi) / 3.0 - (b - 1.0) ** 2, 0.0)), b, 0),
         ]
-        _assert_boundary_pairs(phi, cb.delta_region, cb.FootruleUpperBound, curves, 800)
+        assert_boundary_pairs(cb.FootruleUpperBound, phi, curves, 800)
 
 
 def test_upper_bound_lipschitz_across_frontiers():

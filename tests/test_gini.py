@@ -4,6 +4,8 @@ import pytest
 import copulabounds as cb
 from copulabounds.core import DERIV_STEP, PROBE_LEVELS
 
+from boundary_pairs import assert_boundary_pairs
+
 GRID = np.arange(101) / 100
 U, V = GRID[:, None], GRID[None, :]
 
@@ -186,30 +188,6 @@ def test_bounds_monotone_in_parameter():
         prev_lo, prev_hi = lo, hi
 
 
-def _assert_boundary_pairs(param, region_fn, cls, curves, min_points):
-    eps = 1e-7
-    total = 0
-    for left, right, a, b, axis in curves:
-        ok = (a > eps) & (a < 1 - eps) & (b > eps) & (b < 1 - eps)
-        a, b = a[ok], b[ok]
-        if a.size == 0:
-            continue
-        da, db = (eps, 0.0) if axis == 0 else (0.0, eps)
-        lo_codes = region_fn(param, a - da, b - db)
-        hi_codes = region_fn(param, a + da, b + db)
-        qual = (((lo_codes == left) & (hi_codes == right))
-                | ((lo_codes == right) & (hi_codes == left)))
-        a, b = a[qual], b[qual]
-        if a.size == 0:
-            continue
-        _, values = cls(param)._pieces(a, b)
-        lhs = values[left - 1] if left else np.minimum(a, b)
-        rhs = values[right - 1] if right else np.minimum(a, b)
-        assert np.abs(lhs - rhs).max() <= 1e-9, (left, right, param)
-        total += a.size
-    assert total >= min_points
-
-
 def test_adjacent_piece_expressions_agree_on_boundaries():
     rng = np.random.default_rng(61)
     for gamma in (-0.95, -0.85, -0.8):
@@ -239,7 +217,7 @@ def test_adjacent_piece_expressions_agree_on_boundaries():
             # where the root does not exist are dropped by the nudge filter
             (2, 0, a, 0.5 * (1.0 + 3.0 * a - np.sqrt(np.maximum(5.0 * a * a - 2.0 * a + t, 0.0))), 1),
         ]
-        _assert_boundary_pairs(gamma, cb.omega_region, cb.GiniUpperBound, curves, 800)
+        assert_boundary_pairs(cb.GiniUpperBound, gamma, curves, 800)
 
 
 def test_upper_bound_lipschitz_across_frontiers():
