@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -248,29 +249,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", choices=["phi", "gamma", "beta"])
     p.add_argument("spec")
     p.add_argument("--n", type=int, default=2048, help="quadrature panels")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="tabulate an envelope on an n x n node grid")
     p.add_argument("bound", choices=list(effectiveness.ENVELOPES))
     p.add_argument("param", type=float)
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("table1", help="effectiveness of both measures on the canonical k grid")
     p.add_argument("--n", type=int, default=2048, help="Simpson panels per axis")
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("region", help="attainable (measure, beta) boundary curves")
     p.add_argument("pair", choices=["phi-beta", "gamma-beta"])
     p.add_argument("--step", type=float, default=0.05)
-    p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("sample", help="sample a copula spec (quasi-copulas are refused)")
     p.add_argument("spec")
     p.add_argument("count", type=int)
     p.add_argument("seed_pos", metavar="seed", type=int, nargs="?", default=None)
     p.add_argument("--seed", dest="seed_flag", type=int, default=None)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="audit the quasi-copula axioms on a grid")
     p.add_argument("spec")
@@ -278,9 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tol_pos", metavar="tol", type=float, nargs="?", default=None)
     p.add_argument("--n", dest="n_flag", type=int, default=None)
     p.add_argument("--tol", dest="tol_flag", type=float, default=None)
-    p.set_defaults(func=cmd_check)
 
     return parser
+
+
+# one parser serves the process, built on the first ``main`` call; commands
+# are looked up by name at dispatch, so a patched ``cmd_*`` takes effect
+_parser = functools.cache(build_parser)
 
 
 def _pick(positional, flag, default, name):
@@ -295,12 +295,12 @@ def _pick(positional, flag, default, name):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # opened before the command runs, as a shell redirect is, so an
         # unwritable path fails before the work
         with (open(args.out, "w", encoding="utf-8", newline="") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
-            fh.write(args.func(args).render())
+            fh.write(globals()[f"cmd_{args.command}"](args).render())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 def simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights over n even panels of [0, 1], n+1 nodes."""
+    n = _whole(n, "panel count")
     if n < 2 or n % 2:
         raise ValueError("panel count must be even and >= 2")
     w = np.ones(n + 1)

@@ -88,6 +88,7 @@ def _whole(x, what) -> int:
 
 def grid_nodes(n: int) -> np.ndarray:
     """The n + 1 equispaced nodes i/n of [0, 1]."""
+    n = _whole(n, "n")
     return np.arange(n + 1) / n
 
 
@@ -508,6 +509,7 @@ def sample_shuffle(spec: ShuffleSpec, count: int, seed: int) -> np.ndarray:
     piecewise translation/reflection, so points sit exactly on the support
     segments. Reproducible for a fixed seed.
     """
+    count, seed = _whole(count, "count"), _whole(seed, "seed")
     if count < 1:
         raise InvalidSpecError("count must be >= 1")
     p_lo, p_hi, s_lo, s_hi, omega = spec.piece_geometry()
@@ -658,6 +660,7 @@ class CheckerboardCopula(BivariateFunction):
     def random(cls, n: int, seed: int) -> "CheckerboardCopula":
         """Random checkerboard via Sinkhorn balancing of a positive matrix,
         for at most ``SINKHORN_ITERS`` sweeps."""
+        n, seed = _whole(n, "n"), _whole(seed, "seed")
         rng = np.random.default_rng(seed)
         m = rng.random((n, n)) + 0.1
         for _ in range(SINKHORN_ITERS):
@@ -715,7 +718,7 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     A non-finite value of the conditional CDF, in the probe table or in a
     bisection step, raises ValueError.
     """
-    count = _whole(count, "count")
+    count, seed = _whole(count, "count"), _whole(seed, "seed")
     if count < 1:
         raise ValueError("count must be >= 1")
     # two adjacent doubles in [1/2, 1) lie 2**-53 apart and their midpoint is

@@ -70,7 +70,7 @@ def test_grid_columns_equal_flat_evaluation(bound, param):
     func = effectiveness.ENVELOPES[bound](float(param))
     for n in ("37", "64"):
         args = cli.build_parser().parse_args(["grid", bound, param, n])
-        a, b, value, region = args.func(args).columns
+        a, b, value, region = cli.cmd_grid(args).columns
         np.testing.assert_array_equal(value.view(np.uint64), func(a, b).view(np.uint64))
         assert region.tolist() == [func.LABELS[c] for c in func._region_codes(a, b)]
 
@@ -269,6 +269,30 @@ def test_out_writes_lf_file(tmp_path, capsys):
     raw = path.read_bytes()
     assert raw == b"measure,spec,value\nbeta,W,-1.000000\n"
     assert b"\r" not in raw
+
+
+def test_one_parser_serves_repeated_calls(tmp_path, capsys, monkeypatch):
+    # main reuses one parser; a usage error, --help or a rejected value must
+    # leave nothing behind that changes a later call
+    path = tmp_path / "out.csv"
+    argvs = ["eval beta M", "grid f-upper", "grid --help", "eval phi bogus",
+             "check W 50 --n 100", "grid f-lower 2.0 4", f"--out {path} eval beta W"]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    passes = [[outcome(argv) for argv in argvs] + [path.read_bytes()] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert [code for code, _, _ in passes[0][:-1]] == [0, 2, "SystemExit(0)", 2, 2, 3, 0]
+
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: cli.CsvTable(["patched"], [[1]]))
+    assert outcome("eval beta M") == (0, "patched\n1\n", "")
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_shuffle_file_round_trip(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import copulabounds as cb
-from copulabounds import cli
+from copulabounds import cli, core
 
 GRID = np.arange(81) / 80
 U, V = GRID[:, None], GRID[None, :]
@@ -258,6 +258,13 @@ def test_counts_must_be_whole_numbers():
         (lambda n: cb.effectiveness_score("gini", 0.1, n).m, 64),
         (lambda n: cb.sample_conditional(cb.PI, n, 0).tobytes(), 10),
         (lambda n: cb.check_quasicopula(cb.PI, n), 20),
+        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, n, 0).tobytes(), 10),
+        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, 10, n).tobytes(), 3),
+        (lambda n: cb.sample_conditional(cb.PI, 10, n).tobytes(), 3),
+        (lambda n: cb.simpson_weights(n).tobytes(), 64),
+        (lambda n: core.grid_nodes(n).tobytes(), 4),
+        (lambda n: cb.CheckerboardCopula.random(n, 0).masses.tobytes(), 4),
+        (lambda n: cb.CheckerboardCopula.random(4, n).masses.tobytes(), 3),
     ]
     for entry, n in entries:
         assert entry(float(n)) == entry(n)
