@@ -27,7 +27,6 @@ from .core import (
     UnitPoint,
     W,
     check_quasicopula,
-    extremal_value,
     h_volume,
     max_asymmetry,
     sample_conditional,

@@ -49,20 +49,18 @@ def _format_column(col: np.ndarray) -> list:
     """Cells of one column by its dtype: bools as true/false, floats at six
     decimals with negative zero printed as zero, anything else by str.
 
-    Envelope tables repeat a few values many times over, so numbers and
+    Envelope tables repeat a few values many times over, so floats and
     bools are formatted once per distinct value and then indexed; equal
     values (-0.0 and 0.0 among them) print alike.
     """
-    if col.dtype.kind not in "biuf":
+    if col.dtype.kind not in "bf":
         return [str(x) for x in col.tolist()]
     uniques, inverse = np.unique(col, return_inverse=True)
     if col.dtype == bool:
         cells = ["true" if x else "false" for x in uniques.tolist()]
-    elif col.dtype.kind == "f":
+    else:
         cells = [f"{x:.6f}" for x in uniques.tolist()]
         cells = ["0.000000" if c == "-0.000000" else c for c in cells]
-    else:
-        cells = [str(x) for x in uniques.tolist()]
     return np.asarray(cells, dtype=object)[inverse].tolist()
 
 

@@ -24,7 +24,7 @@ GINI_RANGE = (-1.0, 1.0)
 BLOMQVIST_RANGE = (-1.0, 1.0)
 # the ranges by every name that argument checks report a measure under
 _MEASURE_RANGES = {"footrule": FOOTRULE_RANGE, "gamma": GINI_RANGE, "gini": GINI_RANGE,
-                   "beta": BLOMQVIST_RANGE, "blomqvist": BLOMQVIST_RANGE}
+                   "beta": BLOMQVIST_RANGE}
 
 
 def _check_measure(name: str, value) -> float:

@@ -121,9 +121,6 @@ class BivariateFunction:
     def __call__(self, u, v):
         return _on_unit(self._value, u, v)
 
-    def at(self, p: UnitPoint) -> float:
-        return self(p.u, p.v)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
 
@@ -143,6 +140,11 @@ class Envelope(BivariateFunction):
         self.k = _check_range(k, *self.RANGE, self.MEASURE)
         self.label = f"{self.NAME}:{self.k:g}"
 
+    @classmethod
+    def _functional(cls, k, u, v):
+        """The functional form (k, u, v) of the bound: ``cls(k)(u, v)``."""
+        return cls(k)(u, v)
+
     def _value(self, u, v):
         w = np.maximum(u + v - 1.0, 0.0)
         m = np.minimum(u, v)
@@ -155,7 +157,7 @@ class Envelope(BivariateFunction):
         return np.clip(self._bound(u, v, w, m), w, m)
 
     def _region_codes(self, u, v):
-        return np.zeros(np.broadcast(u, v).shape, dtype=int)
+        return np.zeros(np.broadcast(u, v).shape, dtype=np.int8)
 
 
 class PiecewiseEnvelope(Envelope):
@@ -207,12 +209,19 @@ class PiecewiseEnvelope(Envelope):
         mirror = len(self.LABELS) - code  # N + 1 - code
         return self._piece(mirror, b, a) if mirror < code else self._piece(code, a, b)
 
+    @classmethod
+    def _codes_at(cls, k, u, v):
+        """Code 1..N of the piece governing ``cls(k)`` at (u, v), else 0; an
+        int for scalar input."""
+        return _on_unit(cls(k)._region_codes, u, v, int)
+
     def _pieces(self, u, v):
         """Masks and values of all pieces on every node, for the tests."""
         return self._masks(u, v), [self._mirrored(c, u, v) for c in range(1, len(self.LABELS))]
 
     def _select(self, u, v):
-        # the first region whose mask holds, else 0
+        # the first region whose mask holds, else 0; adjacent pieces agree on
+        # shared boundaries, so the order only picks among equal expressions
         masks = self._masks(u, v)
         return np.select(masks, np.arange(1, len(masks) + 1, dtype=np.int8), np.int8(0))
 
@@ -406,11 +415,6 @@ class ExtremalCopula(BivariateFunction):
                            (omega,) * len(kept_targets))
 
 
-def extremal_value(spec: ExtremalSpec, u, v):
-    """Closed-form value of the extremal copula given by ``spec``."""
-    return ExtremalCopula(spec)(u, v)
-
-
 # ---------------------------------------------------------------------------
 # Shuffles of min
 # ---------------------------------------------------------------------------
@@ -526,11 +530,12 @@ def sample_shuffle(spec: ShuffleSpec, count: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def h_volume(func, lo: UnitPoint, hi: UnitPoint) -> float:
-    """Mass C(hi) - C(hi.u, lo.v) - C(lo.u, hi.v) + C(lo) of a rectangle."""
+    """Mass C(hi) - C(hi.u, lo.v) - C(lo.u, hi.v) + C(lo) of a rectangle;
+    ValueError when it is not finite."""
     if lo.u > hi.u or lo.v > hi.v:
         raise BadRectangleError(f"corners not ordered: {lo} !<= {hi}")
-    return float(func(hi.u, hi.v) - func(hi.u, lo.v) - func(lo.u, hi.v)
-                 + func(lo.u, lo.v))
+    return _finite(float(func(hi.u, hi.v) - func(hi.u, lo.v) - func(lo.u, hi.v)
+                         + func(lo.u, lo.v)), "h-volume")
 
 
 @dataclass(frozen=True)
@@ -556,7 +561,7 @@ def check_quasicopula(func, n: int = 200, tol: float = 1e-9) -> AxiomReport:
 
     All checks run on the (n+1) x (n+1) node grid i/n. The mesh bounds
     off-grid Lipschitz violations, so a clean grid report certifies the
-    axioms up to O(1/n).
+    axioms up to O(1/n). A non-finite value on the grid raises ValueError.
     """
     n = _whole(n, "n")
     if n < 2:
@@ -564,7 +569,8 @@ def check_quasicopula(func, n: int = 200, tol: float = 1e-9) -> AxiomReport:
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     t = grid_nodes(n)
-    vals = func(t[:, None], t[None, :])
+    # Python's max() below would pass over a NaN reduction and certify it
+    vals = _finite(func(t[:, None], t[None, :]), "audited function")
     mesh = 1.0 / n
 
     margin = max(

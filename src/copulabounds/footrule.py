@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, PiecewiseEnvelope, _on_unit
+from .core import Envelope, PiecewiseEnvelope
 from .concordance import FOOTRULE_RANGE, QuadratureConfig, _check_measure, spearman_footrule
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
@@ -43,30 +43,16 @@ class FootruleLowerBound(Envelope):
         return np.where(inside, val, w)
 
 
-def footrule_lower_bound(phi, u, v):
-    """Least value at (u, v) among all copulas with the given footrule."""
-    return FootruleLowerBound(phi)(u, v)
-
-
-def delta_region(phi, u, v):
-    """Code 1..7 of the piece governing the upper envelope at (u, v), else 0.
-
-    Pieces are tested in index order; adjacent pieces agree on shared
-    boundaries, so the order only picks among equal expressions. At 1/4 the
-    pieces have shrunk to the centre (1/2, 1/2), which rounding in D4's
-    mask still reports as code 4, with diagonal points within about 1e-9 of
-    it, up to the next float above 1/4 (0.25000000000000006). Every code is
-    0 for larger parameters. The envelope is min(u, v) from 1/4 on either way.
-    """
-    return _on_unit(FootruleUpperBound(phi)._region_codes, u, v, int)
-
-
 class FootruleUpperBound(PiecewiseEnvelope):
     """Greatest value at (u, v) among all copulas with the given footrule;
     a proper quasi-copula for parameters strictly inside (-1/2, 1/4).
 
     D4's square root can go negative outside its region and is clamped at
-    zero there; the masks never select those points.
+    zero there; the masks never select those points. At 1/4 the pieces have
+    shrunk to the centre (1/2, 1/2), which rounding in D4's mask still
+    reports as code 4, with diagonal points within about 1e-9 of it, up to
+    the next float above 1/4 (0.25000000000000006). Every code is 0 for
+    larger parameters. The envelope is min(u, v) from 1/4 on either way.
     """
 
     NAME, MEASURE, RANGE = "f-upper", "footrule", FOOTRULE_RANGE
@@ -106,9 +92,10 @@ class FootruleUpperBound(PiecewiseEnvelope):
         return 0.5 * (a + b - 1.0 + np.sqrt(np.maximum(arg, 0.0)))
 
 
-def footrule_upper_bound(phi, u, v):
-    """Greatest value at (u, v) among all copulas with the given footrule."""
-    return FootruleUpperBound(phi)(u, v)
+# the functional forms (k, u, v) of the envelopes and the region codes
+footrule_lower_bound = FootruleLowerBound._functional
+footrule_upper_bound = FootruleUpperBound._functional
+delta_region = FootruleUpperBound._codes_at
 
 
 def footrule_of_lower_bound(phi) -> float:

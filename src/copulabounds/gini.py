@@ -14,24 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, PiecewiseEnvelope, _on_unit
+from .core import Envelope, PiecewiseEnvelope
 from .concordance import GINI_RANGE, QuadratureConfig, gini_gamma
 
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
-
-
-def omega_region(gamma, u, v):
-    """Code 1..9 of the piece governing the upper envelope at (u, v), else 0.
-
-    Pieces are tested in index order with verified boundary agreement.
-    Degenerate pieces (such as the diagonal at parameter -1) still report
-    their code. At 1/2 the pieces have shrunk to the centre (1/2, 1/2),
-    which rounding in O5's mask still reports as code 5, with diagonal
-    points within about 1e-9 of it, up to two floats above 1/2
-    (0.5000000000000002). Every code is 0 for larger parameters. The
-    envelope is min(u, v) from 1/2 on either way.
-    """
-    return _on_unit(GiniUpperBound(gamma)._region_codes, u, v, int)
 
 
 class GiniUpperBound(PiecewiseEnvelope):
@@ -41,7 +27,13 @@ class GiniUpperBound(PiecewiseEnvelope):
     Divisions by the centre lines and the square edges are left to IEEE
     semantics: a diverging side makes its inequality false, which is the
     limiting form of each region condition. O2's square root can go
-    negative outside its region and is clamped at zero there.
+    negative outside its region and is clamped at zero there. Degenerate
+    pieces (such as the diagonal at parameter -1) still report their code.
+    At 1/2 the pieces have shrunk to the centre (1/2, 1/2), which rounding
+    in O5's mask still reports as code 5, with diagonal points within about
+    1e-9 of it, up to two floats above 1/2 (0.5000000000000002). Every code
+    is 0 for larger parameters. The envelope is min(u, v) from 1/2 on either
+    way.
     """
 
     NAME, MEASURE, RANGE = "g-upper", "gamma", GINI_RANGE
@@ -99,11 +91,6 @@ class GiniUpperBound(PiecewiseEnvelope):
         return 0.5 * (a + b - 1.0 + np.sqrt(arg))
 
 
-def gini_upper_bound(gamma, u, v):
-    """Greatest value at (u, v) among all copulas with the given gamma."""
-    return GiniUpperBound(gamma)(u, v)
-
-
 class GiniLowerBound(Envelope):
     """Least value at (u, v) among all copulas with the given gamma; a
     copula exactly for parameters in (-1/2, 0] and at the endpoints.
@@ -130,9 +117,10 @@ class GiniLowerBound(Envelope):
         return self._reflected._region_codes(u, 1.0 - v)
 
 
-def gini_lower_bound(gamma, u, v):
-    """Least value at (u, v) among all copulas with the given gamma."""
-    return GiniLowerBound(gamma)(u, v)
+# the functional forms (k, u, v) of the envelopes and the region codes
+gini_upper_bound = GiniUpperBound._functional
+gini_lower_bound = GiniLowerBound._functional
+omega_region = GiniUpperBound._codes_at
 
 
 def gini_of_bound(gamma, which: str = "upper",

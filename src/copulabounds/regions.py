@@ -16,9 +16,6 @@ import numpy as np
 
 from .concordance import BLOMQVIST_RANGE, _check_measure
 
-_KINDS = ("footrule", "gini", "blomqvist")
-
-
 class KindMismatchError(ValueError):
     """The pair's first component is not a footrule or gamma value."""
 
@@ -59,15 +56,16 @@ def gini_range_given_beta(beta) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MeasurePair:
-    """A (measure, beta) pair; ``kind`` names the first component."""
+    """A (measure, beta) pair; ``kind`` names the first component, "footrule"
+    or "gini" (anything else raises KindMismatchError)."""
 
     kind: str
     value: float
     beta: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
+        if self.kind not in ("footrule", "gini"):
+            raise KindMismatchError(f"kind must be 'footrule' or 'gini', got {self.kind!r}")
         object.__setattr__(self, "value", _check_measure(self.kind, self.value))
         object.__setattr__(self, "beta", _check_measure("beta", self.beta))
 
@@ -81,10 +79,6 @@ def pair_in_region(pair: MeasurePair, slack: float = 0.0) -> bool:
     """
     if not 0.0 <= slack < np.inf:
         raise ValueError("slack must be nonnegative and finite")
-    if pair.kind == "footrule":
-        lo, hi = beta_range_given_footrule(pair.value)
-    elif pair.kind == "gini":
-        lo, hi = beta_range_given_gini(pair.value)
-    else:
-        raise KindMismatchError("pair must lead with a footrule or gamma value")
+    beta_range = beta_range_given_footrule if pair.kind == "footrule" else beta_range_given_gini
+    lo, hi = beta_range(pair.value)
     return lo - slack <= pair.beta <= hi + slack

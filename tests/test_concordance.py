@@ -223,22 +223,29 @@ def test_measure_clamping_to_theoretical_ranges():
 
 def test_non_finite_evaluator_output_is_rejected(monkeypatch):
     class Holey(cb.BivariateFunction):
-        """The product copula with NaN wherever ``hole(v)`` holds."""
+        """The product copula with NaN wherever ``hole(u, v)`` holds."""
 
         def __init__(self, hole):
             self.hole = hole
 
         def _value(self, u, v):
-            return np.where(self.hole(v), np.nan, u * v)
+            return np.where(self.hole(u, v), np.nan, u * v)
 
-    upper_half = Holey(lambda v: v >= 0.5)
+    upper_half = Holey(lambda u, v: v >= 0.5)
+    # NaN only inside the square: Python's max() would drop it from the
+    # audit's reductions and certify the function
+    interior = Holey(lambda u, v: (0.4 < u) & (u < 0.6) & (0.4 < v) & (v < 0.6))
+    with pytest.raises(ValueError, match="not finite"):
+        cb.check_quasicopula(interior, n=20)
+    with pytest.raises(ValueError, match="not finite"):
+        cb.h_volume(interior, cb.UnitPoint(0.2, 0.3), cb.UnitPoint(0.5, 0.5))
     for measure in (cb.spearman_footrule, cb.gini_gamma, cb.blomqvist_beta):
         with pytest.raises(ValueError, match="not finite"):
             measure(upper_half)
     with pytest.raises(ValueError, match="not finite"):
         cb.q_concordance(cb.GridFunction.from_function(cb.PI, 8), upper_half)
     # NaN at the probe levels k/32, and NaN only between them (bisection steps)
-    for hole in (lambda v: v >= 0.5, lambda v: (v > 0.5) & (v * 32.0 % 1.0 != 0.0)):
+    for hole in (lambda u, v: v >= 0.5, lambda u, v: (v > 0.5) & (v * 32.0 % 1.0 != 0.0)):
         with pytest.raises(ValueError, match="not finite"):
             cb.sample_conditional(Holey(hole), 200, seed=3)
     monkeypatch.setattr(cb.effectiveness, "_bounds_for", lambda kind, k: (upper_half, cb.W))

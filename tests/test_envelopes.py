@@ -128,6 +128,32 @@ def test_scalar_calls_equal_array_calls(name):
     assert scalar.tobytes() == array.tobytes(), np.flatnonzero(scalar != array)
 
 
+# The module functions are the classes' own functional forms and region codes:
+# names of their modules, called positionally as (k, u, v), with the bits of
+# the class call on arrays and a Python float or int for scalar input.
+BOUND_NAMES = {
+    "footrule_lower_bound": (cb.footrule, cb.FootruleLowerBound, 0.3, "__call__"),
+    "footrule_upper_bound": (cb.footrule, cb.FootruleUpperBound, -0.45, "__call__"),
+    "delta_region": (cb.footrule, cb.FootruleUpperBound, -0.45, "_region_codes"),
+    "gini_upper_bound": (cb.gini, cb.GiniUpperBound, -0.6, "__call__"),
+    "gini_lower_bound": (cb.gini, cb.GiniLowerBound, 0.3, "__call__"),
+    "omega_region": (cb.gini, cb.GiniUpperBound, -0.6, "_region_codes"),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_NAMES)
+def test_bound_names_are_the_class_calls(name):
+    module, cls, k, method = BOUND_NAMES[name]
+    func = vars(module)[name]
+    u, v = POINTS
+    expected = getattr(cls(k), method)(u, v)
+    got = func(k, u, v)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    scalar = func(k, 0.3, 0.6)
+    assert type(scalar) is (float if expected.dtype.kind == "f" else int)
+    assert scalar == getattr(cls(k), method)(np.array([0.3]), np.array([0.6]))[0]
+
+
 # Each envelope class labels its own pieces: the upper classes through the
 # public region functions, the lower gamma envelope through the upper pieces
 # of the reflected point at the negated parameter, the lower footrule
@@ -150,7 +176,7 @@ def test_region_codes_live_on_the_classes(cls, expected, ks):
     for k in ks:
         codes = cls(k)._region_codes(u, v)
         np.testing.assert_array_equal(codes, expected(k, u, v), err_msg=str(k))
-        assert codes.dtype.kind == "i" and codes.min() >= 0 and codes.max() < len(cls.LABELS)
+        assert codes.dtype == np.int8 and codes.min() >= 0 and codes.max() < len(cls.LABELS)
         seen.update(np.unique(codes).tolist())
     assert seen == set(range(len(cls.LABELS)))
 
