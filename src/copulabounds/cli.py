@@ -34,7 +34,7 @@ class SpecParseError(UsageError):
 
 
 class NotACopulaError(ValueError):
-    """The spec denotes a proper quasi-copula; sampling is refused."""
+    """The spec is an envelope inside its ``QUASI`` interval; sampling is refused."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,12 +211,10 @@ def cmd_sample(args) -> CsvTable:
     if args.count < 1:
         raise core.OutOfRangeError("count must be >= 1")
     seed = _pick(args.seed_pos, args.seed_flag, 0, "seed")
-    report = core.check_quasicopula(func, n=200, tol=1e-9)
-    if not (report.is_quasicopula and report.is_two_increasing):
-        raise NotACopulaError(
-            f"spec {args.spec!r} is not a copula "
-            f"(worst cell volume {report.worst_volume:.3g}); refusing to sample"
-        )
+    if isinstance(func, core.Envelope) and not func.is_copula:
+        lo, hi = func.QUASI
+        raise NotACopulaError(f"spec {args.spec!r} is not a copula (a proper quasi-copula "
+                              f"for k in ({lo:g}, {hi:g})); refusing to sample")
     pts = _draw(func, args.count, seed)
     return CsvTable(["u", "v"], [pts[:, 0], pts[:, 1]])
 

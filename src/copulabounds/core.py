@@ -130,11 +130,13 @@ class Envelope(BivariateFunction):
 
     Subclasses declare the spec ``NAME``, the ``MEASURE`` and its ``RANGE``,
     ``W_UP_TO`` and ``M_FROM`` (the bound is W for k <= W_UP_TO and M for
-    k >= M_FROM) and ``_bound(u, v, w, m)``, clamped to [W, M] in between.
+    k >= M_FROM), ``QUASI`` (the open interval of k where the bound is not a
+    copula, empty by default) and ``_bound(u, v, w, m)``, clamped to [W, M].
     """
 
-    W_UP_TO, M_FROM = -np.inf, np.inf
+    W_UP_TO, M_FROM, QUASI = -np.inf, np.inf, (0.0, 0.0)
     LABELS = ("none",)
+    is_copula = property(lambda self: not self.QUASI[0] < self.k < self.QUASI[1])
 
     def __init__(self, k):
         self.k = _check_range(k, *self.RANGE, self.MEASURE)

@@ -45,7 +45,7 @@ class FootruleLowerBound(Envelope):
 
 class FootruleUpperBound(PiecewiseEnvelope):
     """Greatest value at (u, v) among all copulas with the given footrule;
-    a proper quasi-copula for parameters strictly inside (-1/2, 1/4).
+    a proper quasi-copula exactly for parameters in ``QUASI`` = (-1/2, 1/4).
 
     D4's square root can go negative outside its region and is clamped at
     zero there; the masks never select those points. At 1/4 the pieces have
@@ -56,7 +56,7 @@ class FootruleUpperBound(PiecewiseEnvelope):
     """
 
     NAME, MEASURE, RANGE = "f-upper", "footrule", FOOTRULE_RANGE
-    M_FROM = 0.25
+    M_FROM, QUASI = 0.25, (-0.5, 0.25)
     LABELS = DELTA_LABELS
     phi = property(lambda self: self.k)
     _tau = property(lambda self: self._p2)

@@ -2,8 +2,8 @@
 
 The upper envelope is piecewise over nine regions of the square (O1..O9,
 with O6..O9 the transposes of O4..O1) that deform and vanish as the
-parameter grows, and equals min(u, v) outside them; it is a copula for
-parameters in [0, 1/2) and a proper quasi-copula on (-1, 0). It is a
+parameter grows, and equals min(u, v) outside them; it is a proper
+quasi-copula for parameters in (-1, 0) and a copula otherwise. It is a
 ``core.PiecewiseEnvelope``: this module writes O1..O5 and the base class
 supplies their transposes, the region codes and the evaluation of each piece
 on the nodes it governs. The lower envelope is its reflection
@@ -22,7 +22,7 @@ OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
 
 class GiniUpperBound(PiecewiseEnvelope):
     """Greatest value at (u, v) among all copulas with the given gamma; a
-    copula exactly for parameters in [0, 1/2) and at the endpoints.
+    proper quasi-copula exactly for parameters in ``QUASI`` = (-1, 0).
 
     Divisions by the centre lines and the square edges are left to IEEE
     semantics: a diverging side makes its inequality false, which is the
@@ -37,7 +37,7 @@ class GiniUpperBound(PiecewiseEnvelope):
     """
 
     NAME, MEASURE, RANGE = "g-upper", "gamma", GINI_RANGE
-    W_UP_TO, M_FROM = -1.0, 0.5
+    W_UP_TO, M_FROM, QUASI = -1.0, 0.5, (-1.0, 0.0)
     LABELS = OMEGA_LABELS
     gamma = property(lambda self: self.k)
     _tau = property(lambda self: 1.0 + self.k)
@@ -93,7 +93,7 @@ class GiniUpperBound(PiecewiseEnvelope):
 
 class GiniLowerBound(Envelope):
     """Least value at (u, v) among all copulas with the given gamma; a
-    copula exactly for parameters in (-1/2, 0] and at the endpoints.
+    proper quasi-copula exactly for parameters in ``QUASI`` = (0, 1).
 
     Computed by reflecting the upper envelope at the negated parameter:
     a - G_upper(-gamma)(a, 1-b), which equals b - G_upper(-gamma)(1-a, b).
@@ -101,7 +101,7 @@ class GiniLowerBound(Envelope):
     """
 
     NAME, MEASURE, RANGE = "g-lower", "gamma", GINI_RANGE
-    W_UP_TO, M_FROM = -0.5, 1.0
+    W_UP_TO, M_FROM, QUASI = -0.5, 1.0, (0.0, 1.0)
     LABELS = OMEGA_LABELS
     gamma = property(lambda self: self.k)
 

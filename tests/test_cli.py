@@ -120,9 +120,15 @@ def test_sample_comonotone_rows_coincide(capsys):
 
 
 def test_sample_rejects_proper_quasi_copula(capsys):
-    code, _, err = run_cli(capsys, "sample", "f-upper:0.0", "10", "1")
-    assert code == 3
-    assert "not a copula" in err
+    # all but the first lie so near an end of their QUASI interval (f-upper
+    # above about 0.2425, the gamma envelopes within about 0.011 of 0) that a
+    # 201^2 grid audit finds no negative cell mass there
+    for spec in ("f-upper:0.0", "g-upper:-0.001", "f-upper:0.2499", "g-lower:0.001",
+                 "f-upper:0.245", "g-upper:-0.01"):
+        code, out, err = run_cli(capsys, "sample", spec, "10", "1")
+        assert (code, out) == (3, ""), spec
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a copula" in err
 
 
 def test_sample_lower_footrule_support(capsys):

@@ -249,3 +249,25 @@ def test_envelope_values_and_codes_are_pinned():
                 sha.update(np.ascontiguousarray(bound(u, v)).tobytes())
                 sha.update(bound._region_codes(u, v).astype(np.int64).tobytes())
     assert sha.hexdigest() == "c40aa4fb8513a554d83a3a932c0d4be558027676dae8317b6416a22571e0943c"
+
+
+# Each class declares the open interval QUASI of k on which it is a proper
+# quasi-copula; away from its ends the 201^2 grid audit sees the same. Near
+# an end (within about 0.011) the negative mass can be below the grid's reach.
+@pytest.mark.parametrize("cls", [cb.FootruleLowerBound, cb.FootruleUpperBound,
+                                 cb.GiniUpperBound, cb.GiniLowerBound],
+                         ids=lambda cls: cls.NAME)
+def test_declared_quasi_interval_agrees_with_the_audit(cls):
+    lo, hi = cls.QUASI
+    ks = np.linspace(*cls.RANGE, 301)
+    ks = ks[(np.abs(ks - lo) >= 0.02) & (np.abs(ks - hi) >= 0.02)]
+    for k in ks.tolist():
+        func = cls(k)
+        assert func.is_copula == cb.check_quasicopula(func, n=200).is_two_increasing, k
+    # the ends themselves are copulas, and -0.0 where an end is 0
+    for k in (lo, hi, -lo, -hi):
+        if k in (lo, hi):
+            assert cls(k).is_copula is True, k
+    if lo < hi:
+        assert not cls(np.nextafter(lo, hi)).is_copula
+        assert not cls(np.nextafter(hi, lo)).is_copula

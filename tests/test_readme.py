@@ -18,6 +18,7 @@ STATED = [
     ("(-0.414213..., 1.0)", (-0.414213, 1.0)),
     ("True", True),
     ("False", False),
+    ("False", False),
 ]
 
 
