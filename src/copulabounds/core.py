@@ -167,10 +167,16 @@ class PiecewiseEnvelope(Envelope):
 
     Region and piece N + 1 - c are region and piece c at the transposed
     point; the centre region is its own transpose. Subclasses declare the
-    ``LABELS`` "none" and 1..N, ``_tau``, ``_axis(x)`` (terms of one
-    coordinate that the masks share), ``_half(a, b, axis_a, axis_b)`` (the
-    masks of the regions before the centre and one half of the centre mask)
-    and ``_piece(code, a, b)`` for codes up to the centre.
+    ``LABELS`` "none" and 1..N, ``VANISH`` (for each code up to the centre,
+    the parameter from which that region and its transpose are empty),
+    ``_tau``, ``_axis(x)`` (terms of one coordinate that the masks share),
+    ``_region(code, a, b, axis_a, axis_b)`` (the mask of a region before the
+    centre, or one half of the centre mask) and ``_piece(code, a, b)`` for
+    codes up to the centre.
+
+    A region is live while k < VANISH + 1e-9; only live masks and pieces are
+    ever built. A dead mask is false at every node, so leaving it out keeps
+    the first match, and with it every code and value.
 
     No region reaches a row or column x with 6x(1 - x) < tau. The regions
     cover the points where the envelope lies below M, which are those where
@@ -180,13 +186,27 @@ class PiecewiseEnvelope(Envelope):
     for the footrule; so tau = 1 + gamma, or 1 + 2 phi.
     """
 
+    VANISH = ()
+
+    def __init__(self, k):
+        super().__init__(k)
+        n = len(self.LABELS)  # N + 1
+        half = [c for c, k0 in enumerate(self.VANISH, 1) if self.k < k0 + 1e-9]
+        self._live = tuple(half + [n - c for c in reversed(half) if n - c != c])
+
     def _block(self, u, v):
-        """The ``np.ix_`` index of the rows and columns (of the broadcast
-        shape) that a region can reach, and u and v cut to it; None when
-        there are none. A row or column is kept where 6x(1 - x) > tau - 1e-9
-        holds for both coordinates somewhere on it; the margin covers the
-        rounding of the masks. Axes of length 1 are not cut, so u and v
-        still broadcast and the per-axis terms of ``_axis`` stay shared."""
+        """The index of the rows and columns (of the broadcast shape) that a
+        live region can reach, and u and v cut to it; None when there are
+        none. A row or column is kept where 6x(1 - x) > tau - 1e-9 holds for
+        both coordinates somewhere on it; the margin covers the rounding of
+        the masks. An axis whose kept indices are consecutive (sorted nodes)
+        is indexed by a slice, so its cuts are views; with at most one other
+        axis the index is a plain tuple, whose writes are cheaper than those
+        through ``np.ix_``, which serves the rest. Axes of length 1 are not
+        cut, so u and v still broadcast and the per-axis terms of ``_axis``
+        stay shared."""
+        if not self._live:
+            return None
         cut = self._tau - 1e-9
         near = (6.0 * u * (1.0 - u) > cut) & (6.0 * v * (1.0 - v) > cut)
         nd = near.ndim
@@ -194,21 +214,34 @@ class PiecewiseEnvelope(Envelope):
                 for i in range(nd)]
         if not all(k.size for k in keep):
             return None
+        runs = [slice(k[0], k[-1] + 1) if k[-1] - k[0] + 1 == k.size else k for k in keep]
+        scattered = sum(not isinstance(k, slice) for k in runs)
+        ix = tuple(runs) if scattered <= 1 else np.ix_(*keep)
         # leading axes of length 1, so that axis i of u, v and near agree
         u, v = u[(None,) * (nd - u.ndim)], v[(None,) * (nd - v.ndim)]
-        for i, k in enumerate(keep):
-            u = u.take(k, axis=i) if u.shape[i] > 1 else u
-            v = v.take(k, axis=i) if v.shape[i] > 1 else v
-        return np.ix_(*keep), u, v
 
-    def _masks(self, u, v):
+        def cut_to(x, i, k):
+            if x.shape[i] == 1:
+                return x
+            return x[(slice(None),) * i + (k,)] if isinstance(k, slice) else x.take(k, axis=i)
+
+        for i, k in enumerate(runs):
+            u, v = cut_to(u, i, k), cut_to(v, i, k)
+        return ix, u, v
+
+    def _mask(self, code, a, b, axis_a, axis_b):
+        mirror = len(self.LABELS) - code  # N + 1 - code
+        if mirror < code:
+            return self._region(mirror, b, a, axis_b, axis_a)
+        mask = self._region(code, a, b, axis_a, axis_b)
+        return mask & self._region(code, b, a, axis_b, axis_a) if mirror == code else mask
+
+    def _masks(self, u, v, codes):
         axis_u, axis_v = self._axis(u), self._axis(v)
-        masks, centre = self._half(u, v, axis_u, axis_v)
-        masks_t, centre_t = self._half(v, u, axis_v, axis_u)
-        return [*masks, centre & centre_t, *masks_t[::-1]]
+        return [self._mask(c, u, v, axis_u, axis_v) for c in codes]
 
     def _mirrored(self, code, a, b):
-        mirror = len(self.LABELS) - code  # N + 1 - code
+        mirror = len(self.LABELS) - code
         return self._piece(mirror, b, a) if mirror < code else self._piece(code, a, b)
 
     @classmethod
@@ -218,14 +251,17 @@ class PiecewiseEnvelope(Envelope):
         return _on_unit(cls(k)._region_codes, u, v, int)
 
     def _pieces(self, u, v):
-        """Masks and values of all pieces on every node, for the tests."""
-        return self._masks(u, v), [self._mirrored(c, u, v) for c in range(1, len(self.LABELS))]
+        """Masks and values of all pieces, live or not, on every node, for
+        the tests."""
+        codes = range(1, len(self.LABELS))
+        return self._masks(u, v, codes), [self._mirrored(c, u, v) for c in codes]
 
     def _select(self, u, v):
-        # the first region whose mask holds, else 0; adjacent pieces agree on
-        # shared boundaries, so the order only picks among equal expressions
-        masks = self._masks(u, v)
-        return np.select(masks, np.arange(1, len(masks) + 1, dtype=np.int8), np.int8(0))
+        # the first live region whose mask holds, else 0; adjacent pieces
+        # agree on shared boundaries, so the order only picks among equal
+        # expressions
+        masks = self._masks(u, v, self._live)
+        return np.select(masks, np.array(self._live, dtype=np.int8), np.int8(0))
 
     def _region_codes(self, u, v):
         codes = np.zeros(np.broadcast(u, v).shape, dtype=np.int8)
@@ -236,8 +272,8 @@ class PiecewiseEnvelope(Envelope):
         return codes
 
     def _bound(self, u, v, w, m):
-        # each piece runs only on the nodes of its code, inside the block;
-        # code 0 and everything outside the block keep M
+        # each live piece runs only on the nodes of its code, inside the
+        # block; code 0 and everything outside the block keep M
         block = self._block(u, v)
         if not block:
             return m
@@ -245,7 +281,7 @@ class PiecewiseEnvelope(Envelope):
         codes = self._select(a, b)
         vals = np.minimum(a, b)  # M on the block
         a, b = np.broadcast_arrays(a, b)
-        for code in range(1, len(self.LABELS)):
+        for code in self._live:
             nodes = codes == code
             if nodes.any():
                 vals[nodes] = self._mirrored(code, a[nodes], b[nodes])
@@ -669,6 +705,8 @@ class CheckerboardCopula(BivariateFunction):
         """Random checkerboard via Sinkhorn balancing of a positive matrix,
         for at most ``SINKHORN_ITERS`` sweeps."""
         n, seed = _whole(n, "n"), _whole(seed, "seed")
+        if n < 1:
+            raise InvalidSpecError(f"n must be >= 1, got {n}")
         rng = np.random.default_rng(seed)
         m = rng.random((n, n)) + 0.1
         for _ in range(SINKHORN_ITERS):

@@ -47,6 +47,10 @@ class FootruleUpperBound(PiecewiseEnvelope):
     """Greatest value at (u, v) among all copulas with the given footrule;
     a proper quasi-copula exactly for parameters in ``QUASI`` = (-1/2, 1/4).
 
+    Each region shrinks to a point as the parameter grows to its ``VANISH``
+    and is empty past it: D1 and D7 exist for phi <= -1/3, D2, D3, D5 and D6
+    for phi <= -1/5, and D4 for phi <= 1/4.
+
     D4's square root can go negative outside its region and is clamped at
     zero there; the masks never select those points. At 1/4 the pieces have
     shrunk to the centre (1/2, 1/2), which rounding in D4's mask still
@@ -58,6 +62,12 @@ class FootruleUpperBound(PiecewiseEnvelope):
     NAME, MEASURE, RANGE = "f-upper", "footrule", FOOTRULE_RANGE
     M_FROM, QUASI = 0.25, (-0.5, 0.25)
     LABELS = DELTA_LABELS
+    # the largest footrule 1.5 Q(C, M) - 1/2 of the least copula through the
+    # top d of each Q(C, M) branch of the reference triangle:
+    # D1, branch 2: 1.5 s^2 - 1/2 at d = a = s = 2b - 1 <= 1/3;
+    # D2 and D3, branch 3: 1.5 x(2 - 5x) - 1/2 at d = a = x = b - a, x = 1/5;
+    # D4, branch 4: at the centre, d = a = b = 1/2
+    VANISH = (-1.0 / 3.0, -0.2, -0.2, 0.25)
     phi = property(lambda self: self.k)
     _tau = property(lambda self: self._p2)
 
@@ -65,21 +75,21 @@ class FootruleUpperBound(PiecewiseEnvelope):
         super().__init__(phi)
         self._p2 = 1.0 + 2.0 * self.k
         self._s = np.sqrt(self._p2 / 3.0)
+        self._lo, self._hi = 0.5 * (1.0 - self._s), 0.5 * (1.0 + self._s)
 
     def _axis(self, x):
         """The root sqrt((2x - 1)^2 + 1 + 2 phi)."""
         return np.sqrt((2.0 * x - 1.0) ** 2 + self._p2)
 
-    def _half(self, a, b, ra, rb):
-        lo_half, hi_half = 0.5 * (1.0 - self._s), 0.5 * (1.0 + self._s)
-        masks = [
-            (a <= lo_half) & (b >= hi_half) & (b <= a + lo_half),
-            (b <= hi_half) & (3.0 * a >= 2.0 * b - 1.0 + rb) & (3.0 * a <= b + 1.0 - rb),
-            (a >= lo_half) & (3.0 * b >= a + 1.0 + ra) & (3.0 * b <= 2.0 * a + 2.0 - ra),
-        ]
-        centre = ((3.0 * a >= b + 1.0 - rb) & (3.0 * a <= b + 1.0 + rb)
-                  & (a ** 2 <= 2.0 * (1.0 - self.k) / 3.0 - (b - 1.0) ** 2))
-        return masks, centre
+    def _region(self, code, a, b, ra, rb):
+        if code == 1:
+            return (a <= self._lo) & (b >= self._hi) & (b <= a + self._lo)
+        if code == 2:
+            return (b <= self._hi) & (3.0 * a >= 2.0 * b - 1.0 + rb) & (3.0 * a <= b + 1.0 - rb)
+        if code == 3:
+            return (a >= self._lo) & (3.0 * b >= a + 1.0 + ra) & (3.0 * b <= 2.0 * a + 2.0 - ra)
+        return ((3.0 * a >= b + 1.0 - rb) & (3.0 * a <= b + 1.0 + rb)
+                & (a ** 2 <= 2.0 * (1.0 - self.k) / 3.0 - (b - 1.0) ** 2))
 
     def _piece(self, code, a, b):
         if code == 1:

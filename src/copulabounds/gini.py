@@ -24,6 +24,11 @@ class GiniUpperBound(PiecewiseEnvelope):
     """Greatest value at (u, v) among all copulas with the given gamma; a
     proper quasi-copula exactly for parameters in ``QUASI`` = (-1, 0).
 
+    Each region shrinks to a point as the parameter grows to its ``VANISH``
+    and is empty past it: O1 and O9 exist for gamma <= -3/4, O2 and O8 for
+    gamma <= -4/9, O3, O4, O6 and O7 for gamma <= -4/13, and O5 for
+    gamma <= 1/2.
+
     Divisions by the centre lines and the square edges are left to IEEE
     semantics: a diverging side makes its inequality false, which is the
     limiting form of each region condition. O2's square root can go
@@ -39,6 +44,13 @@ class GiniUpperBound(PiecewiseEnvelope):
     NAME, MEASURE, RANGE = "g-upper", "gamma", GINI_RANGE
     W_UP_TO, M_FROM, QUASI = -1.0, 0.5, (-1.0, 0.0)
     LABELS = OMEGA_LABELS
+    # the largest gamma Q(C, M) + Q(C, W) of the least copula through the top
+    # d of each Q(C, M) branch of the reference triangle:
+    # O1, branch 1: 4a(1/2 - a) - 1 at d = a, b = a + 1/2, a = 1/4;
+    # O2, branch 2: -(1 - s)^2 at d = a = s = 2b - 1 <= 1/3;
+    # O3 and O4, branch 3: x(6 - 13x) - 1 at d = a = x = b - a, x = 3/13;
+    # O5, branch 4: at the centre, d = a = b = 1/2
+    VANISH = (-0.75, -4.0 / 9.0, -4.0 / 13.0, -4.0 / 13.0, 0.5)
     gamma = property(lambda self: self.k)
     _tau = property(lambda self: 1.0 + self.k)
 
@@ -54,26 +66,27 @@ class GiniUpperBound(PiecewiseEnvelope):
     # at parameter 0 the corner (0, 1) meets every O2 inequality with equality,
     # but O2's value there is 1/2, not the grounded 0; it is the only corner
     # point O2 ever holds at, so it is excluded (and (1, 0) from O8)
-    def _half(self, a, b, axis_a, axis_b):
+    def _region(self, code, a, b, axis_a, axis_b):
         t = 1.0 + self.k
         sa, qa, ha, ia, _, ka = axis_a
         sb, qb, _, _, jb, _ = axis_b
-        masks = [
-            (a <= 0.5) & (2.0 * b >= 1.0 + ha) & (b <= 1.0 - ia),
-            (((a > 0.0) | (b < 1.0)) & (2.0 * b <= 1.0 + ha)
-             & ((1.0 + 2.0 * a - 2.0 * b) ** 2 + 4.0 * a * (1.0 - b) >= t)
-             & (6.0 * b >= 2.0 * a + 2.0 + sa)
-             & (4.0 * b >= 6.0 * a - 1.0 + ha)),
-            ((6.0 * b <= 2.0 * a + 2.0 + sa)
-             & (8.0 * b <= 3.0 * a + 6.0 - ka)
-             & (11.0 * a <= 3.0 + 5.0 * b - qb)),
-            ((6.0 * a >= 2.0 * b + 2.0 - sb)
-             & (8.0 * a >= 3.0 * b - 1.0 + jb)
-             & (11.0 * b >= 3.0 + 5.0 * a + qa)),
-        ]
-        centre = ((11.0 * a >= 3.0 + 5.0 * b - qb) & (11.0 * a <= 3.0 + 5.0 * b + qb)
-                  & ((b + 2.0 * a) ** 2 <= 3.0 * a * (a + 2.0) - t))
-        return masks, centre
+        if code == 1:
+            return (a <= 0.5) & (2.0 * b >= 1.0 + ha) & (b <= 1.0 - ia)
+        if code == 2:
+            return (((a > 0.0) | (b < 1.0)) & (2.0 * b <= 1.0 + ha)
+                    & ((1.0 + 2.0 * a - 2.0 * b) ** 2 + 4.0 * a * (1.0 - b) >= t)
+                    & (6.0 * b >= 2.0 * a + 2.0 + sa)
+                    & (4.0 * b >= 6.0 * a - 1.0 + ha))
+        if code == 3:
+            return ((6.0 * b <= 2.0 * a + 2.0 + sa)
+                    & (8.0 * b <= 3.0 * a + 6.0 - ka)
+                    & (11.0 * a <= 3.0 + 5.0 * b - qb))
+        if code == 4:
+            return ((6.0 * a >= 2.0 * b + 2.0 - sb)
+                    & (8.0 * a >= 3.0 * b - 1.0 + jb)
+                    & (11.0 * b >= 3.0 + 5.0 * a + qa))
+        return ((11.0 * a >= 3.0 + 5.0 * b - qb) & (11.0 * a <= 3.0 + 5.0 * b + qb)
+                & ((b + 2.0 * a) ** 2 <= 3.0 * a * (a + 2.0) - t))
 
     def _piece(self, code, a, b):
         t = 1.0 + self.k

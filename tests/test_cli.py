@@ -373,6 +373,10 @@ PINNED_STDOUT = (
     # recorded before cells were formatted per distinct value
     ("grid f-upper -0.3 152", "abafbc2fdb6c18e5d9d864c4b15282866b902902f82b77a4e4ea25b9aa106fed"),
     ("grid g-lower -0.458 144", "a5c198cbdfd3d0b16c979f8f681e10af09b6d6a94b470f4f60fef4ca135029bf"),
+    # at the parameter where O1 and D3 / D5 vanish, each still labels one node
+    # on its single tie point: (0.25, 0.75) and (0.6, 0.8) / (0.8, 0.6)
+    ("grid g-upper -0.75 4", "fb52dd25c8d6b89d0fe4e50947a262298a320e6f45921935571c2e223709b0ff"),
+    ("grid f-upper -0.2 5", "4e10bfabbfa04b9ae4cac221e006bc1c188959fa95e0d6d6192bf2849c0ab535"),
 )
 
 

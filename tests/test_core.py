@@ -371,6 +371,13 @@ def test_checkerboard_rejects_unbalanced_masses():
             cb.CheckerboardCopula(bad)
 
 
+def test_checkerboard_random_needs_a_cell():
+    for n in (0, -1, -5):
+        with pytest.raises(cb.InvalidSpecError, match=f"n must be >= 1, got {n}"):
+            cb.CheckerboardCopula.random(n, 0)
+    assert cb.CheckerboardCopula.random(1, 0).masses.tolist() == [[1.0]]
+
+
 def test_checkerboard_random_is_deterministic():
     one = cb.CheckerboardCopula.random(8, 11)
     two = cb.CheckerboardCopula.random(8, 11)

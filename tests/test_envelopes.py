@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import copulabounds as cb
 
+from boundary_pairs import vanish_params
+
 NODES = np.arange(129) / 128
 RNG_POINTS = np.random.default_rng(41).uniform(0.0, 1.0, (2, 20000))
 POINTS = (np.concatenate([np.repeat(NODES, NODES.size), RNG_POINTS[0]]),
@@ -198,7 +200,7 @@ BLOCK_PARAMS = {
                         np.nextafter(0.5, 1.0), -1.0),
 }
 BLOCK_CASES = [pytest.param(cls, k, id=f"{cls.NAME}:{float(k)!r}")
-               for cls, ks in BLOCK_PARAMS.items() for k in ks]
+               for cls, ks in BLOCK_PARAMS.items() for k in (*ks, *vanish_params(cls, ks))]
 BLOCK_RANDOM = tuple(np.random.default_rng(47).uniform(0.0, 1.0, (2, 20000)))
 
 
@@ -217,6 +219,75 @@ def test_no_region_outside_the_block(cls, k):
         # returns M without it
         got = np.clip(bound._bound(u, v, w, m), w, m)
         assert got.tobytes() == np.clip(np.select(masks, values, m), w, m).tobytes()
+
+
+def test_block_index_forms():
+    # sorted nodes are cut by slices; one unsorted axis (sampler points) by
+    # one index array among slices; more than one through np.ix_. Each form
+    # gives the codes and values of the full-mask form.
+    t = np.arange(257) / 256
+    r = np.random.default_rng(67).random((3, 400))
+    pair = np.stack([r[0], r[1]])
+    shapes = (((t[:32, None], t[None, :]), (slice, slice)),
+              ((pair[:, None], t[100:140, None]), (slice, slice, np.ndarray)),
+              ((r[0][:, None], r[1][None, :]), (np.ndarray, np.ndarray)),
+              ((r[0][:, None, None], r[1][None, :, None] + 0 * r[2][:3]), None))
+    for cls, k in ((cb.GiniUpperBound, -0.6), (cb.FootruleUpperBound, -0.3)):
+        bound = cls(k)
+        for (u, v), form in shapes:
+            ix, _, _ = bound._block(u, v)
+            if form is None:
+                assert all(isinstance(i, np.ndarray) for i in ix)
+            else:
+                assert tuple(type(i) for i in ix) == form
+            w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
+            masks, values = bound._pieces(u, v)
+            codes = np.select(masks, np.arange(1, len(masks) + 1), 0)
+            np.testing.assert_array_equal(bound._region_codes(u, v), codes)
+            got = np.clip(bound._bound(u, v, w, m), w, m)
+            assert got.tobytes() == np.clip(np.select(masks, values, m), w, m).tobytes()
+
+
+# Each region up to the centre, the point where it shrinks away at VANISH:
+# the top d of its (fold, Q(C, M) branch) cell that maximises the measure.
+VANISH_POINTS = {
+    cb.GiniUpperBound: ((0.25, 0.75), (1 / 3, 2 / 3), (3 / 13, 6 / 13), (7 / 13, 10 / 13),
+                        (0.5, 0.5)),
+    cb.FootruleUpperBound: ((1 / 3, 2 / 3), (0.2, 0.4), (0.6, 0.8), (0.5, 0.5)),
+}
+VANISH_CASES = [pytest.param(cls, code, point, id=cls.LABELS[code])
+                for cls, points in VANISH_POINTS.items()
+                for code, point in enumerate(points, 1)]
+VANISH_GRID = np.arange(1025) / 1024
+VANISH_RANDOM = tuple(np.random.default_rng(61).uniform(0.0, 1.0, (2, 50000)))
+VANISH_STEPS = np.concatenate([np.linspace(-1e-4, 1e-4, 101), np.linspace(-1e-8, 1e-8, 101)])
+
+
+@pytest.mark.parametrize("cls,code,point", VANISH_CASES)
+def test_each_region_vanishes_at_its_declared_parameter(cls, code, point):
+    # the all-masks form, which ignores VANISH, holds neither the region nor
+    # its transpose from VANISH + 1e-9 on; it holds both on the grid 1e-3
+    # before, and next to the vanishing point 1e-6 before
+    codes = (code, len(cls.LABELS) - code)
+    top = cls.VANISH[code - 1]
+    dead = top + 1e-9
+    after = [dead, np.nextafter(dead, 2.0), np.nextafter(np.nextafter(dead, 2.0), 2.0),
+             *np.linspace(dead, max(cls.M_FROM, dead), 6)[1:]]
+    a0, b0 = point
+    frontier = [(a0 + VANISH_STEPS[:, None], b0 + VANISH_STEPS[None, :]),
+                (b0 + VANISH_STEPS[:, None], a0 + VANISH_STEPS[None, :])]
+    for k in after:
+        bound = cls(k)
+        assert all(c not in bound._live for c in codes)
+        for u, v in [(VANISH_GRID[:, None], VANISH_GRID[None, :]), VANISH_RANDOM, *frontier]:
+            u, v = np.clip(u, 0.0, 1.0), np.clip(v, 0.0, 1.0)
+            assert not any(mask.any() for mask in bound._masks(u, v, codes)), k
+    grid = np.arange(601) / 600
+    for k, (u, v) in ((top - 1e-3, (grid[:, None], grid[None, :])), (top - 1e-6, frontier[0])):
+        bound = cls(k)
+        assert all(c in bound._live for c in codes)
+        masks = bound._masks(u, v, codes) + bound._masks(v, u, codes)
+        assert masks[0].any() and masks[-1].any(), k
 
 
 # Values and region codes of the four envelope classes, hashed. The
