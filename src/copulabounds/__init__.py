@@ -59,7 +59,6 @@ from .footrule import (
     delta_region,
     footrule_lower_bound,
     footrule_of_lower_bound,
-    footrule_of_upper_bound,
     footrule_upper_bound,
     hyperbola_halfwidth,
 )
@@ -68,7 +67,6 @@ from .gini import (
     GiniUpperBound,
     OMEGA_LABELS,
     gini_lower_bound,
-    gini_of_bound,
     gini_upper_bound,
     omega_region,
 )

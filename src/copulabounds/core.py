@@ -169,8 +169,7 @@ class PiecewiseEnvelope(Envelope):
     point; the centre region is its own transpose. Subclasses declare the
     ``LABELS`` "none" and 1..N, ``VANISH`` (for each code up to the centre,
     the parameter from which that region and its transpose are empty),
-    ``_tau``, ``_axis(x)`` (terms of one coordinate that the masks share),
-    ``_region(code, a, b, axis_a, axis_b)`` (the mask of a region before the
+    ``_tau``, ``_region(code, a, b)`` (the mask of a region before the
     centre, or one half of the centre mask) and ``_piece(code, a, b)`` for
     codes up to the centre.
 
@@ -203,8 +202,8 @@ class PiecewiseEnvelope(Envelope):
         is indexed by a slice, so its cuts are views; with at most one other
         axis the index is a plain tuple, whose writes are cheaper than those
         through ``np.ix_``, which serves the rest. Axes of length 1 are not
-        cut, so u and v still broadcast and the per-axis terms of ``_axis``
-        stay shared."""
+        cut, so u and v still broadcast and a mask's terms of one coordinate
+        cost one value per row or column."""
         if not self._live:
             return None
         cut = self._tau - 1e-9
@@ -229,16 +228,15 @@ class PiecewiseEnvelope(Envelope):
             u, v = cut_to(u, i, k), cut_to(v, i, k)
         return ix, u, v
 
-    def _mask(self, code, a, b, axis_a, axis_b):
+    def _mask(self, code, a, b):
         mirror = len(self.LABELS) - code  # N + 1 - code
         if mirror < code:
-            return self._region(mirror, b, a, axis_b, axis_a)
-        mask = self._region(code, a, b, axis_a, axis_b)
-        return mask & self._region(code, b, a, axis_b, axis_a) if mirror == code else mask
+            return self._region(mirror, b, a)
+        mask = self._region(code, a, b)
+        return mask & self._region(code, b, a) if mirror == code else mask
 
     def _masks(self, u, v, codes):
-        axis_u, axis_v = self._axis(u), self._axis(v)
-        return [self._mask(c, u, v, axis_u, axis_v) for c in codes]
+        return [self._mask(c, u, v) for c in codes]
 
     def _mirrored(self, code, a, b):
         mirror = len(self.LABELS) - code
@@ -651,11 +649,12 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if self.n < 2 or values.shape != (self.n + 1, self.n + 1):
-            raise ValueError(f"values must have shape ({self.n + 1}, {self.n + 1})")
+        n, values = _whole(self.n, "n"), np.asarray(self.values, dtype=float)
+        if n < 2 or values.shape != (n + 1, n + 1):
+            raise ValueError(f"values must have shape ({n + 1}, {n + 1})")
         if not (values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9):
             raise ValueError("grid values must lie in [0, 1] and not be NaN")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -684,8 +683,8 @@ class CheckerboardCopula(BivariateFunction):
 
     def __init__(self, masses):
         masses = np.asarray(masses, dtype=float)
-        if masses.ndim != 2 or masses.shape[0] != masses.shape[1]:
-            raise InvalidSpecError("masses must be a square matrix")
+        if masses.ndim != 2 or masses.shape[0] != masses.shape[1] or not masses.size:
+            raise InvalidSpecError("masses must be a nonempty square matrix")
         n = masses.shape[0]
         if not masses.min() >= -UNIT_SLACK:
             raise InvalidSpecError("cell masses must be nonnegative and not NaN")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Envelope, PiecewiseEnvelope
-from .concordance import FOOTRULE_RANGE, QuadratureConfig, _check_measure, spearman_footrule
+from .concordance import FOOTRULE_RANGE, _check_measure
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
@@ -51,6 +51,9 @@ class FootruleUpperBound(PiecewiseEnvelope):
     and is empty past it: D1 and D7 exist for phi <= -1/3, D2, D3, D5 and D6
     for phi <= -1/5, and D4 for phi <= 1/4.
 
+    Its extended footrule, ``spearman_footrule(FootruleUpperBound(phi))``, lies
+    strictly above phi on the open range: it is not in the family it bounds.
+
     D4's square root can go negative outside its region and is clamped at
     zero there; the masks never select those points. At 1/4 the pieces have
     shrunk to the centre (1/2, 1/2), which rounding in D4's mask still
@@ -69,25 +72,26 @@ class FootruleUpperBound(PiecewiseEnvelope):
     # D4, branch 4: at the centre, d = a = b = 1/2
     VANISH = (-1.0 / 3.0, -0.2, -0.2, 0.25)
     phi = property(lambda self: self.k)
-    _tau = property(lambda self: self._p2)
 
     def __init__(self, phi):
         super().__init__(phi)
-        self._p2 = 1.0 + 2.0 * self.k
-        self._s = np.sqrt(self._p2 / 3.0)
+        self._tau = 1.0 + 2.0 * self.k
+        self._s = np.sqrt(self._tau / 3.0)
         self._lo, self._hi = 0.5 * (1.0 - self._s), 0.5 * (1.0 + self._s)
 
-    def _axis(self, x):
+    def _root(self, x):
         """The root sqrt((2x - 1)^2 + 1 + 2 phi)."""
-        return np.sqrt((2.0 * x - 1.0) ** 2 + self._p2)
+        return np.sqrt((2.0 * x - 1.0) ** 2 + self._tau)
 
-    def _region(self, code, a, b, ra, rb):
+    def _region(self, code, a, b):
         if code == 1:
             return (a <= self._lo) & (b >= self._hi) & (b <= a + self._lo)
+        if code == 3:
+            ra = self._root(a)
+            return (a >= self._lo) & (3.0 * b >= a + 1.0 + ra) & (3.0 * b <= 2.0 * a + 2.0 - ra)
+        rb = self._root(b)
         if code == 2:
             return (b <= self._hi) & (3.0 * a >= 2.0 * b - 1.0 + rb) & (3.0 * a <= b + 1.0 - rb)
-        if code == 3:
-            return (a >= self._lo) & (3.0 * b >= a + 1.0 + ra) & (3.0 * b <= 2.0 * a + 2.0 - ra)
         return ((3.0 * a >= b + 1.0 - rb) & (3.0 * a <= b + 1.0 + rb)
                 & (a ** 2 <= 2.0 * (1.0 - self.k) / 3.0 - (b - 1.0) ** 2))
 
@@ -95,10 +99,10 @@ class FootruleUpperBound(PiecewiseEnvelope):
         if code == 1:
             return 0.5 * (2.0 * b - 1.0 + self._s)
         if code == 2:
-            return (2.0 * b - 1.0 + self._axis(b)) / 3.0
+            return (2.0 * b - 1.0 + self._root(b)) / 3.0
         if code == 3:
-            return (a + 3.0 * b - 2.0 + self._axis(a)) / 3.0
-        arg = 3.0 * (b - a) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * self._p2 / 3.0
+            return (a + 3.0 * b - 2.0 + self._root(a)) / 3.0
+        arg = 3.0 * (b - a) ** 2 + (1.0 - 2.0 * a) * (1.0 - 2.0 * b) + 2.0 * self._tau / 3.0
         return 0.5 * (a + b - 1.0 + np.sqrt(np.maximum(arg, 0.0)))
 
 
@@ -116,11 +120,3 @@ def footrule_of_lower_bound(phi) -> float:
     """
     phi = _check_measure("footrule", phi)
     return 2.0 - phi - float(np.sqrt(6.0 * (1.0 - phi)))
-
-
-def footrule_of_upper_bound(phi, quad: QuadratureConfig | None = None) -> float:
-    """Footrule of the upper envelope, by diagonal quadrature.
-
-    No closed form is asserted; the extended measure is evaluated directly.
-    """
-    return spearman_footrule(FootruleUpperBound(phi), quad)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Envelope, PiecewiseEnvelope
-from .concordance import GINI_RANGE, QuadratureConfig, gini_gamma
+from .concordance import GINI_RANGE
 
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
 
@@ -28,6 +28,9 @@ class GiniUpperBound(PiecewiseEnvelope):
     and is empty past it: O1 and O9 exist for gamma <= -3/4, O2 and O8 for
     gamma <= -4/9, O3, O4, O6 and O7 for gamma <= -4/13, and O5 for
     gamma <= 1/2.
+
+    Its extended gamma, ``gini_gamma(GiniUpperBound(gamma))``, lies strictly
+    above gamma on the open range: it is not in the family it bounds.
 
     Divisions by the centre lines and the square edges are left to IEEE
     semantics: a diverging side makes its inequality false, which is the
@@ -54,38 +57,36 @@ class GiniUpperBound(PiecewiseEnvelope):
     gamma = property(lambda self: self.k)
     _tau = property(lambda self: 1.0 + self.k)
 
-    def _axis(self, x):
-        """The roots s and q and the quotients t/(1-2x), t/(4x), t/(1-x), t/x,
-        where t = 1 + gamma."""
-        t = 1.0 + self.k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.sqrt((2.0 * x - 1.0) ** 2 + 3.0 * t),
-                    np.sqrt(9.0 * (2.0 * x - 1.0) ** 2 + 11.0 * t),
-                    t / (1.0 - 2.0 * x), t / (4.0 * x), t / (1.0 - x), t / x)
+    def _s(self, x):
+        return np.sqrt((2.0 * x - 1.0) ** 2 + 3.0 * (1.0 + self.k))
+
+    def _q(self, x):
+        return np.sqrt(9.0 * (2.0 * x - 1.0) ** 2 + 11.0 * (1.0 + self.k))
 
     # at parameter 0 the corner (0, 1) meets every O2 inequality with equality,
     # but O2's value there is 1/2, not the grounded 0; it is the only corner
     # point O2 ever holds at, so it is excluded (and (1, 0) from O8)
-    def _region(self, code, a, b, axis_a, axis_b):
+    def _region(self, code, a, b):
         t = 1.0 + self.k
-        sa, qa, ha, ia, _, ka = axis_a
-        sb, qb, _, _, jb, _ = axis_b
-        if code == 1:
-            return (a <= 0.5) & (2.0 * b >= 1.0 + ha) & (b <= 1.0 - ia)
-        if code == 2:
-            return (((a > 0.0) | (b < 1.0)) & (2.0 * b <= 1.0 + ha)
-                    & ((1.0 + 2.0 * a - 2.0 * b) ** 2 + 4.0 * a * (1.0 - b) >= t)
-                    & (6.0 * b >= 2.0 * a + 2.0 + sa)
-                    & (4.0 * b >= 6.0 * a - 1.0 + ha))
-        if code == 3:
-            return ((6.0 * b <= 2.0 * a + 2.0 + sa)
-                    & (8.0 * b <= 3.0 * a + 6.0 - ka)
-                    & (11.0 * a <= 3.0 + 5.0 * b - qb))
-        if code == 4:
-            return ((6.0 * a >= 2.0 * b + 2.0 - sb)
-                    & (8.0 * a >= 3.0 * b - 1.0 + jb)
-                    & (11.0 * b >= 3.0 + 5.0 * a + qa))
-        return ((11.0 * a >= 3.0 + 5.0 * b - qb) & (11.0 * a <= 3.0 + 5.0 * b + qb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if code == 1:
+                return (a <= 0.5) & (2.0 * b >= 1.0 + t / (1.0 - 2.0 * a)) & (b <= 1.0 - t / (4.0 * a))
+            if code == 2:
+                h = t / (1.0 - 2.0 * a)
+                return (((a > 0.0) | (b < 1.0)) & (2.0 * b <= 1.0 + h)
+                        & ((1.0 + 2.0 * a - 2.0 * b) ** 2 + 4.0 * a * (1.0 - b) >= t)
+                        & (6.0 * b >= 2.0 * a + 2.0 + self._s(a))
+                        & (4.0 * b >= 6.0 * a - 1.0 + h))
+            if code == 3:
+                return ((6.0 * b <= 2.0 * a + 2.0 + self._s(a))
+                        & (8.0 * b <= 3.0 * a + 6.0 - t / a)
+                        & (11.0 * a <= 3.0 + 5.0 * b - self._q(b)))
+            if code == 4:
+                return ((6.0 * a >= 2.0 * b + 2.0 - self._s(b))
+                        & (8.0 * a >= 3.0 * b - 1.0 + t / (1.0 - b))
+                        & (11.0 * b >= 3.0 + 5.0 * a + self._q(a)))
+        q = self._q(b)
+        return ((11.0 * a >= 3.0 + 5.0 * b - q) & (11.0 * a <= 3.0 + 5.0 * b + q)
                 & ((b + 2.0 * a) ** 2 <= 3.0 * a * (a + 2.0) - t))
 
     def _piece(self, code, a, b):
@@ -111,6 +112,9 @@ class GiniLowerBound(Envelope):
     Computed by reflecting the upper envelope at the negated parameter:
     a - G_upper(-gamma)(a, 1-b), which equals b - G_upper(-gamma)(1-a, b).
     The region codes are those of the reflected piece.
+
+    Its extended gamma, ``gini_gamma(GiniLowerBound(gamma))``, lies strictly
+    below gamma on the open range: it is not in the family it bounds.
     """
 
     NAME, MEASURE, RANGE = "g-lower", "gamma", GINI_RANGE
@@ -134,18 +138,3 @@ class GiniLowerBound(Envelope):
 gini_upper_bound = GiniUpperBound._functional
 gini_lower_bound = GiniLowerBound._functional
 omega_region = GiniUpperBound._codes_at
-
-
-def gini_of_bound(gamma, which: str = "upper",
-                  quad: QuadratureConfig | None = None) -> float:
-    """Extended gamma of the chosen envelope, by line quadrature.
-
-    The upper envelope scores strictly above the parameter on the open
-    range and the lower strictly below; neither envelope belongs to the
-    family it bounds.
-    """
-    if which == "upper":
-        return gini_gamma(GiniUpperBound(gamma), quad)
-    if which == "lower":
-        return gini_gamma(GiniLowerBound(gamma), quad)
-    raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")

@@ -3,9 +3,9 @@
 Each range function returns the closed interval of one measure given the
 other; the boundary curves are mutually inverse monotone maps, and every
 boundary point is attained by an extremal copula anchored at the centre of
-the square. Both measures share these curves: the beta interval comes from
-one formula in two arguments, and the gamma interval given beta is the
-footrule interval with its lower end doubled.
+the square. Both measures use one pair of curves, which take the measure's
+diagonal scale s: 2 for the footrule and 1 for gamma, so that 1 + s k is
+the ``_tau`` of its upper envelope.
 """
 
 from __future__ import annotations
@@ -20,38 +20,36 @@ class KindMismatchError(ValueError):
     """The pair's first component is not a footrule or gamma value."""
 
 
-def _beta_range(lo_k, hi_k) -> tuple[float, float]:
-    """The beta interval (1 - 2 sqrt(2 (1 - lo_k) / 3), -1 + 2 sqrt(2 (1 + hi_k) / 3))
-    clipped to [-1, 1]; footrule passes (phi, 2 phi) and gamma (gamma, gamma)."""
-    return (max(1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - lo_k) / 3.0)), BLOMQVIST_RANGE[0]),
-            min(-1.0 + 2.0 * float(np.sqrt(2.0 * (1.0 + hi_k) / 3.0)), BLOMQVIST_RANGE[1]))
+def _beta_range(k, s) -> tuple[float, float]:
+    """The beta interval (1 - 2 sqrt(2 (1 - k) / 3), -1 + 2 sqrt(2 (1 + s k) / 3))
+    clipped to [-1, 1]."""
+    return (max(1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - k) / 3.0)), BLOMQVIST_RANGE[0]),
+            min(-1.0 + 2.0 * float(np.sqrt(2.0 * (1.0 + s * k) / 3.0)), BLOMQVIST_RANGE[1]))
+
+
+def _range_given_beta(beta, s) -> tuple[float, float]:
+    """The measure interval given beta, on the inverse curves of ``_beta_range``."""
+    return (3.0 * (1.0 + beta) ** 2 / 8.0 - 1.0) / s, 1.0 - 3.0 * (1.0 - beta) ** 2 / 8.0
 
 
 def beta_range_given_footrule(phi) -> tuple[float, float]:
     """Closed interval of beta over all copulas with footrule ``phi``."""
-    phi = _check_measure("footrule", phi)
-    return _beta_range(phi, 2.0 * phi)
+    return _beta_range(_check_measure("footrule", phi), 2.0)
 
 
 def footrule_range_given_beta(beta) -> tuple[float, float]:
     """Closed interval of footrule over all copulas with beta ``beta``."""
-    beta = _check_measure("beta", beta)
-    lo = 3.0 * (1.0 + beta) ** 2 / 16.0 - 0.5
-    hi = 1.0 - 3.0 * (1.0 - beta) ** 2 / 8.0
-    return lo, hi
+    return _range_given_beta(_check_measure("beta", beta), 2.0)
 
 
 def beta_range_given_gini(gamma) -> tuple[float, float]:
     """Closed interval of beta over all copulas with gamma ``gamma``."""
-    gamma = _check_measure("gamma", gamma)
-    return _beta_range(gamma, gamma)
+    return _beta_range(_check_measure("gamma", gamma), 1.0)
 
 
 def gini_range_given_beta(beta) -> tuple[float, float]:
-    """Closed interval of gamma over all copulas with beta ``beta``: twice the
-    footrule's lower end, and the same upper end."""
-    lo, hi = footrule_range_given_beta(beta)
-    return 2.0 * lo, hi
+    """Closed interval of gamma over all copulas with beta ``beta``."""
+    return _range_given_beta(_check_measure("beta", beta), 1.0)
 
 
 @dataclass(frozen=True)

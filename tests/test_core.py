@@ -265,6 +265,7 @@ def test_counts_must_be_whole_numbers():
         (lambda n: core.grid_nodes(n).tobytes(), 4),
         (lambda n: cb.CheckerboardCopula.random(n, 0).masses.tobytes(), 4),
         (lambda n: cb.CheckerboardCopula.random(4, n).masses.tobytes(), 3),
+        (lambda n: cb.GridFunction(n, np.zeros((5, 5))).n, 4),
     ]
     for entry, n in entries:
         assert entry(float(n)) == entry(n)
@@ -272,6 +273,7 @@ def test_counts_must_be_whole_numbers():
             with pytest.raises(ValueError, match="whole number"):
                 entry(bad)
     assert type(cb.QuadratureConfig(64.0).n) is int
+    assert type(cb.GridFunction(4.0, np.zeros((5, 5))).n) is int
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,7 @@ def test_checkerboard_rejects_unbalanced_masses():
         cb.CheckerboardCopula(np.ones((4, 4)))
     masses = np.full((2, 2), 0.25)
     masses[0, 0] = np.nan
-    for bad in (np.full((2, 2), np.nan), masses):
+    for bad in (np.full((2, 2), np.nan), masses, np.zeros((0, 0))):
         with pytest.raises(cb.InvalidSpecError):
             cb.CheckerboardCopula(bad)
 

@@ -161,13 +161,16 @@ def test_footrule_of_lower_bound_closed_form():
 
 
 def test_footrule_of_upper_bound_by_quadrature():
-    assert cb.footrule_of_upper_bound(1.0) == pytest.approx(1.0, abs=1e-9)
-    assert cb.footrule_of_upper_bound(0.5) == pytest.approx(1.0, abs=1e-9)
-    assert cb.footrule_of_upper_bound(-0.5) == pytest.approx(-0.5, abs=1e-9)
+    def of_upper(phi):
+        return cb.spearman_footrule(cb.FootruleUpperBound(phi))
+
+    assert of_upper(1.0) == pytest.approx(1.0, abs=1e-9)
+    assert of_upper(0.5) == pytest.approx(1.0, abs=1e-9)
+    assert of_upper(-0.5) == pytest.approx(-0.5, abs=1e-9)
     # the supremum dominates every member of the family, so its extended
     # footrule sits strictly above the parameter inside the open range
     for phi in (-0.3, 0.0, 0.2):
-        assert cb.footrule_of_upper_bound(phi) > phi
+        assert of_upper(phi) > phi
 
 
 def test_envelope_measures_straddle_the_parameter():

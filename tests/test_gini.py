@@ -238,14 +238,15 @@ def test_upper_bound_lipschitz_across_frontiers():
 
 
 def test_gini_of_bounds():
-    assert cb.gini_of_bound(1.0, "upper") == pytest.approx(1.0, abs=1e-9)
-    assert cb.gini_of_bound(-1.0, "upper") == pytest.approx(-1.0, abs=1e-9)
-    assert cb.gini_of_bound(0.0, "upper") > 0.0
+    def of_bound(cls, g):
+        return cb.gini_gamma(cls(g))
+
+    assert of_bound(cb.GiniUpperBound, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert of_bound(cb.GiniUpperBound, -1.0) == pytest.approx(-1.0, abs=1e-9)
+    assert of_bound(cb.GiniUpperBound, 0.0) > 0.0
     for g in (-0.6, -0.2, 0.2, 0.45):
-        assert cb.gini_of_bound(g, "upper") > g
-        assert cb.gini_of_bound(g, "lower") < g
-    with pytest.raises(ValueError):
-        cb.gini_of_bound(0.0, "middle")
+        assert of_bound(cb.GiniUpperBound, g) > g
+        assert of_bound(cb.GiniLowerBound, g) < g
 
 
 def test_two_increasing_dichotomy():

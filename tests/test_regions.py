@@ -36,6 +36,35 @@ def test_gini_range_given_beta_values():
     assert cb.gini_range_given_beta(1.0) == (0.5, 1.0)
 
 
+def test_range_curves_are_the_closed_forms_bit_for_bit():
+    # each measure's curves written out on their own, in Python floats, as
+    # before the two measures shared them through their diagonal scale;
+    # 10,001 parameters over each range, endpoints included
+    def beta_given(lo_k, hi_k):
+        return (max(1.0 - 2.0 * float(np.sqrt(2.0 * (1.0 - lo_k) / 3.0)), -1.0),
+                min(-1.0 + 2.0 * float(np.sqrt(2.0 * (1.0 + hi_k) / 3.0)), 1.0))
+
+    def footrule_given(beta):
+        return 3.0 * (1.0 + beta) ** 2 / 16.0 - 0.5, 1.0 - 3.0 * (1.0 - beta) ** 2 / 8.0
+
+    def gini_given(beta):
+        lo, hi = footrule_given(beta)
+        return 2.0 * lo, hi
+
+    phi = np.linspace(-0.5, 1.0, 10_001).tolist()
+    gamma = beta = np.linspace(-1.0, 1.0, 10_001).tolist()
+    cases = [
+        (cb.beta_range_given_footrule, phi, lambda k: beta_given(k, 2.0 * k)),
+        (cb.beta_range_given_gini, gamma, lambda k: beta_given(k, k)),
+        (cb.footrule_range_given_beta, beta, footrule_given),
+        (cb.gini_range_given_beta, beta, gini_given),
+    ]
+    for range_fn, ks, closed_form in cases:
+        got = np.array([range_fn(k) for k in ks])
+        want = np.array([closed_form(k) for k in ks])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_parameters_validated():
     with pytest.raises(cb.OutOfRangeError):
         cb.beta_range_given_footrule(1.5)
