@@ -31,7 +31,6 @@ from .core import (
     max_asymmetry,
     sample_conditional,
     sample_shuffle,
-    transform,
 )
 from .concordance import (
     DEFAULT_QUADRATURE,

@@ -107,15 +107,14 @@ def _load_shuffle(path: str) -> core.ShuffleSpec:
                             tuple(p[3] for p in pieces))
 
 
+_FIXED = {f.label: f for f in (core.W, core.M, core.PI)}
+
+
 def parse_copula_spec(text: str) -> core.BivariateFunction:
     """Grammar: W | M | Pi | f-lower:<phi> | f-upper:<phi> | g-lower:<gamma>
     | g-upper:<gamma> | extremal:<kind>,<a>,<b>,<c> | shuffle:<file>."""
-    if text == "W":
-        return core.W
-    if text == "M":
-        return core.M
-    if text == "Pi":
-        return core.PI
+    if text in _FIXED:
+        return _FIXED[text]
     name, sep, rest = text.partition(":")
     if not sep:
         raise SpecParseError(f"unknown copula spec {text!r}")

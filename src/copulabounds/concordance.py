@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ExtremalSpec, GridFunction, OutOfRangeError, _check_range, _finite, _whole,
-                   grid_nodes)
+from .core import (M, W, ExtremalSpec, GridFunction, OutOfRangeError, _check_range, _finite,
+                   _whole, grid_nodes)
 
 FOOTRULE_RANGE = (-0.5, 1.0)
 GINI_RANGE = (-1.0, 1.0)
@@ -152,8 +152,7 @@ def _anchored(measure):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         d = np.asarray(d, dtype=float)
-        w = np.maximum(a + b - 1.0, 0.0)
-        m = np.minimum(a, b)
+        w, m = W._value(a, b), M._value(a, b)
         # NaN in a, b or d makes a comparison false, so it fails this test
         if not np.all((d >= w - 1e-9) & (d <= m + 1e-9)):
             raise OutOfRangeError("anchored value d outside [W(a,b), M(a,b)] or NaN")

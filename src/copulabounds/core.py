@@ -87,8 +87,10 @@ def _whole(x, what) -> int:
 
 
 def grid_nodes(n: int) -> np.ndarray:
-    """The n + 1 equispaced nodes i/n of [0, 1]."""
+    """The n + 1 equispaced nodes i/n of [0, 1]; n must be at least 1."""
     n = _whole(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return np.arange(n + 1) / n
 
 
@@ -148,8 +150,7 @@ class Envelope(BivariateFunction):
         return cls(k)(u, v)
 
     def _value(self, u, v):
-        w = np.maximum(u + v - 1.0, 0.0)
-        m = np.minimum(u, v)
+        w, m = W._value(u, v), M._value(u, v)
         # where the bound is exactly W or M, return it: the degenerate regions
         # are fragile and the clamp must not leak edge rounding into it
         if self.k <= self.W_UP_TO:
@@ -228,19 +229,16 @@ class PiecewiseEnvelope(Envelope):
             u, v = cut_to(u, i, k), cut_to(v, i, k)
         return ix, u, v
 
-    def _mask(self, code, a, b):
-        mirror = len(self.LABELS) - code  # N + 1 - code
-        if mirror < code:
-            return self._region(mirror, b, a)
-        mask = self._region(code, a, b)
-        return mask & self._region(code, b, a) if mirror == code else mask
-
-    def _masks(self, u, v, codes):
-        return [self._mask(c, u, v) for c in codes]
-
-    def _mirrored(self, code, a, b):
+    def _mirrored(self, fn, code, a, b):
+        """``fn`` (``_region`` or ``_piece``) for ``code``: past the centre,
+        the transposed code N + 1 - code at the transposed point."""
         mirror = len(self.LABELS) - code
-        return self._piece(mirror, b, a) if mirror < code else self._piece(code, a, b)
+        return fn(mirror, b, a) if mirror < code else fn(code, a, b)
+
+    def _mask(self, code, a, b):
+        mask = self._mirrored(self._region, code, a, b)
+        # the centre is its own transpose
+        return mask & self._region(code, b, a) if 2 * code == len(self.LABELS) else mask
 
     @classmethod
     def _codes_at(cls, k, u, v):
@@ -252,13 +250,14 @@ class PiecewiseEnvelope(Envelope):
         """Masks and values of all pieces, live or not, on every node, for
         the tests."""
         codes = range(1, len(self.LABELS))
-        return self._masks(u, v, codes), [self._mirrored(c, u, v) for c in codes]
+        return ([self._mask(c, u, v) for c in codes],
+                [self._mirrored(self._piece, c, u, v) for c in codes])
 
     def _select(self, u, v):
         # the first live region whose mask holds, else 0; adjacent pieces
         # agree on shared boundaries, so the order only picks among equal
         # expressions
-        masks = self._masks(u, v, self._live)
+        masks = [self._mask(c, u, v) for c in self._live]
         return np.select(masks, np.array(self._live, dtype=np.int8), np.int8(0))
 
     def _region_codes(self, u, v):
@@ -277,12 +276,12 @@ class PiecewiseEnvelope(Envelope):
             return m
         ix, a, b = block
         codes = self._select(a, b)
-        vals = np.minimum(a, b)  # M on the block
+        vals = M._value(a, b)  # on the block
         a, b = np.broadcast_arrays(a, b)
         for code in self._live:
             nodes = codes == code
             if nodes.any():
-                vals[nodes] = self._mirrored(code, a[nodes], b[nodes])
+                vals[nodes] = self._mirrored(self._piece, code, a[nodes], b[nodes])
         out = m.copy()
         out[ix] = vals
         return out
@@ -345,11 +344,6 @@ class TransformedFunction(BivariateFunction):
         if self.kind == "sigma2":
             return u - base(u, 1.0 - v)
         return u + v - 1.0 + base(1.0 - u, 1.0 - v)
-
-
-def transform(func, kind) -> BivariateFunction:
-    """Reflected evaluator of ``func``; see TransformedFunction."""
-    return TransformedFunction(func, kind)
 
 
 def max_asymmetry(u, v):
@@ -421,11 +415,11 @@ class ExtremalCopula(BivariateFunction):
         if self.spec.kind == "lower":
             core = np.minimum(np.minimum(d, u - a + d),
                               np.minimum(v - b + d, u + v - a - b + d))
-            return np.maximum(np.maximum(u + v - 1.0, 0.0), core)
+            return np.maximum(W._value(u, v), core)
         # plane pattern arranged so the prescribed value sits at (a, b) itself
         core = np.maximum(np.maximum(d, u - a + d),
                           np.maximum(v - b + d, u + v - a - b + d))
-        return np.minimum(np.minimum(u, v), core)
+        return np.minimum(M._value(u, v), core)
 
     def as_shuffle(self) -> "ShuffleSpec":
         a, b = self.spec.a, self.spec.b
@@ -442,9 +436,7 @@ class ExtremalCopula(BivariateFunction):
         keep = lengths > UNIT_SLACK
         kept_targets = [t for t, k in zip(targets, keep) if k]
         rank = {t: r + 1 for r, t in enumerate(sorted(kept_targets))}
-        cuts = [0.0]
-        for length in lengths[keep]:
-            cuts.append(cuts[-1] + float(length))
+        cuts = np.cumsum([0.0, *lengths[keep]])
         cuts[-1] = 1.0
         return ShuffleSpec(tuple(cuts),
                            tuple(rank[t] for t in kept_targets),
@@ -650,7 +642,9 @@ class GridFunction:
 
     def __post_init__(self):
         n, values = _whole(self.n, "n"), np.asarray(self.values, dtype=float)
-        if n < 2 or values.shape != (n + 1, n + 1):
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        if values.shape != (n + 1, n + 1):
             raise ValueError(f"values must have shape ({n + 1}, {n + 1})")
         if not (values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9):
             raise ValueError("grid values must lie in [0, 1] and not be NaN")

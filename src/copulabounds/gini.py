@@ -58,16 +58,16 @@ class GiniUpperBound(PiecewiseEnvelope):
     _tau = property(lambda self: 1.0 + self.k)
 
     def _s(self, x):
-        return np.sqrt((2.0 * x - 1.0) ** 2 + 3.0 * (1.0 + self.k))
+        return np.sqrt((2.0 * x - 1.0) ** 2 + 3.0 * self._tau)
 
     def _q(self, x):
-        return np.sqrt(9.0 * (2.0 * x - 1.0) ** 2 + 11.0 * (1.0 + self.k))
+        return np.sqrt(9.0 * (2.0 * x - 1.0) ** 2 + 11.0 * self._tau)
 
     # at parameter 0 the corner (0, 1) meets every O2 inequality with equality,
     # but O2's value there is 1/2, not the grounded 0; it is the only corner
     # point O2 ever holds at, so it is excluded (and (1, 0) from O8)
     def _region(self, code, a, b):
-        t = 1.0 + self.k
+        t = self._tau
         with np.errstate(divide="ignore", invalid="ignore"):
             if code == 1:
                 return (a <= 0.5) & (2.0 * b >= 1.0 + t / (1.0 - 2.0 * a)) & (b <= 1.0 - t / (4.0 * a))
@@ -90,7 +90,7 @@ class GiniUpperBound(PiecewiseEnvelope):
                 & ((b + 2.0 * a) ** 2 <= 3.0 * a * (a + 2.0) - t))
 
     def _piece(self, code, a, b):
-        t = 1.0 + self.k
+        t = self._tau
         if code == 1:
             return 0.5 * (a + b - 1.0 + np.sqrt((a + b - 1.0) ** 2 + t))
         if code == 2:

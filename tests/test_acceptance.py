@@ -241,7 +241,7 @@ def test_criterion_10_gamma_from_footrule_antisymmetrisation():
     for seed in range(100):
         board = cb.CheckerboardCopula.random(16, 2000 + seed)
         phi = cb.spearman_footrule(board, quad)
-        phi_reflected = cb.spearman_footrule(cb.transform(board, "sigma1"), quad)
+        phi_reflected = cb.spearman_footrule(cb.TransformedFunction(board, "sigma1"), quad)
         gam = cb.gini_gamma(board, quad)
         worst = max(worst, abs(gam - (2.0 / 3.0) * (phi - phi_reflected)))
     _report(10, "gamma equals scaled footrule antisymmetrisation",

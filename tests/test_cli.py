@@ -147,6 +147,21 @@ def test_sample_is_deterministic(capsys):
     assert one == two
 
 
+@pytest.mark.parametrize("spec,seed,digest,on_support", [
+    ("W", "1", "b711dfe77b254f7891fe04206393fe27fc453ba88c6105a8323f68d0a989bbeb",
+     lambda u, v: np.abs(u + v - 1.0) <= 1.5e-6),
+    ("Pi", "2", "37ff6bd4b00af8bafbee8edecf3077465eebe457cb8be70cb6bb3e1b83a3a444",
+     lambda u, v: (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)),
+])
+def test_sample_countermonotone_and_independence(capsys, spec, seed, digest, on_support):
+    code, out, _ = run_cli(capsys, "sample", spec, "5", seed)
+    assert code == 0
+    assert run_cli(capsys, "sample", spec, "5", seed)[1] == out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    pts = np.array([[float(x) for x in row.split(",")] for row in out.splitlines()[1:]])
+    assert pts.shape == (5, 2) and on_support(pts[:, 0], pts[:, 1]).all()
+
+
 def test_check_reference_invocations(capsys):
     code, out, _ = run_cli(capsys, "check", "W", "50", "1e-9")
     assert code == 0
@@ -184,18 +199,22 @@ def test_value_given_as_positional_and_flag_exits_two(capsys):
 
 
 def test_parse_errors_exit_two(capsys):
-    assert run_cli(capsys, "eval", "phi", "bogus")[0] == 2
-    assert run_cli(capsys, "eval", "phi", "f-lower:abc")[0] == 2
-    assert run_cli(capsys, "eval", "phi", "extremal:lower,0.5,0.5")[0] == 2
+    # among them an unknown family with a numeric parameter and a non-numeric anchor
+    for spec in ("bogus", "f-lower:abc", "extremal:lower,0.5,0.5", "clayton:2",
+                 "extremal:lower,x,0.5,0.1"):
+        code, out, err = run_cli(capsys, "eval", "phi", spec)
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_semantic_errors_exit_three(capsys):
     for argv in ("grid f-lower 2.0 4", "eval phi extremal:lower,0.5,0.5,0.6", "sample M 0 1",
                  "eval phi M --n 3", "check M 1", "sample M 10 -1", "table1 --n 63",
                  "check extremal:lower,0.3,0.5,nan",
-                 "check M 20 nan", "check M 20 inf"):
-        code, out, _ = run_cli(capsys, *argv.split())
+                 "check M 20 nan", "check M 20 inf", "grid f-upper 0.1 1"):
+        code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_spec_parser_reads_the_envelope_table():
@@ -317,8 +336,13 @@ def test_shuffle_file_round_trip(tmp_path, capsys):
 
 def test_shuffle_file_errors(tmp_path, capsys):
     path = tmp_path / "bad.shuffle"
-    path.write_text("0.0,0.4,2,1\n0.5,1.0,1,1\n")
-    assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[0] == 2
+    # a gap, a 3-field line, a non-numeric field and a file of only comments
+    for text in ("0.0,0.4,2,1\n0.5,1.0,1,1\n", "0.0,0.5,2\n0.5,1.0,1,1\n",
+                 "0.0,half,2,1\n0.5,1.0,1,1\n", "# no pieces\n\n# at all\n"):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "eval", "phi", f"shuffle:{path}")
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     assert run_cli(capsys, "eval", "phi", "shuffle:/nonexistent/file")[0] == 2
     path.write_bytes(b"0.0,1.0,1,1\n\xff\n")
     assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[:2] == (2, "")
@@ -326,6 +350,14 @@ def test_shuffle_file_errors(tmp_path, capsys):
     for text in ("0.0,nan,2,1\nnan,1.0,1,1\n", "nan,0.5,2,1\n0.5,1.0,1,1\n"):
         path.write_text(text)
         assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[:2] == (3, ""), text
+
+
+def test_shuffle_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    path = tmp_path / "half.shuffle"
+    path.write_text("# half shift\n\n0.0,0.5,2,1\n   \n# second piece\n0.5,1.0,1,1\n")
+    code, out, _ = run_cli(capsys, "eval", "phi", f"shuffle:{path}")
+    assert code == 0
+    assert out.splitlines()[1].endswith("-0.500000")
 
 
 def test_identical_invocations_are_byte_identical(capsys):

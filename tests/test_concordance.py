@@ -46,6 +46,8 @@ def test_simpson_weights_integrate_cubics_exactly():
     w = cb.simpson_weights(64)
     t = np.arange(65) / 64
     assert w @ t**3 == pytest.approx(0.25, abs=1e-15)
+    with pytest.raises(ValueError, match="panel count must be even"):
+        cb.simpson_weights(3)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +81,13 @@ def test_measure_identities_on_checkerboards():
 def test_gamma_is_scaled_footrule_antisymmetrisation():
     for board in boards(5, start=40):
         phi = cb.spearman_footrule(board, Q2048)
-        phi_r = cb.spearman_footrule(cb.transform(board, "sigma1"), Q2048)
+        phi_r = cb.spearman_footrule(cb.TransformedFunction(board, "sigma1"), Q2048)
         assert cb.gini_gamma(board, Q2048) == pytest.approx((2.0 / 3.0) * (phi - phi_r), abs=1e-10)
 
 
 def test_footrule_survival_invariance():
     for board in boards(4, start=80):
-        hat = cb.transform(board, "survival")
+        hat = cb.TransformedFunction(board, "survival")
         assert cb.spearman_footrule(board, Q2048) == pytest.approx(
             cb.spearman_footrule(hat, Q2048), abs=1e-12)
 

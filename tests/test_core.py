@@ -38,6 +38,12 @@ def test_frechet_and_product_values():
     assert cb.PI(0.2, 0.4) == pytest.approx(0.08, abs=1e-15)
 
 
+def test_base_function_has_no_value_and_reprs_carry_the_label():
+    with pytest.raises(NotImplementedError):
+        cb.BivariateFunction()(0.5, 0.5)
+    assert repr(cb.GiniUpperBound(-0.5)) == "<GiniUpperBound g-upper:-0.5>"
+
+
 def test_evaluators_reject_far_outside_inputs():
     with pytest.raises(ValueError):
         cb.M(1.2, 0.5)
@@ -59,30 +65,30 @@ def test_frechet_envelope_of_builtins(u, v):
 # ---------------------------------------------------------------------------
 
 def test_survival_of_w_is_w():
-    hat = cb.transform(cb.W, "survival")
+    hat = cb.TransformedFunction(cb.W, "survival")
     assert np.abs(hat(U, V) - cb.W(U, V)).max() <= 1e-12
 
 
 def test_sigma1_of_m_is_w():
-    refl = cb.transform(cb.M, "sigma1")
+    refl = cb.TransformedFunction(cb.M, "sigma1")
     assert refl(0.3, 0.4) == pytest.approx(0.0, abs=1e-15)
     assert np.abs(refl(U, V) - cb.W(U, V)).max() <= 1e-12
 
 
 def test_transpose_of_pi():
-    assert cb.transform(cb.PI, "transpose")(0.2, 0.7) == pytest.approx(0.14, abs=1e-15)
+    assert cb.TransformedFunction(cb.PI, "transpose")(0.2, 0.7) == pytest.approx(0.14, abs=1e-15)
 
 
 def test_sigma1_then_sigma2_equals_survival():
     for func in (cb.PI, cb.M, cb.CheckerboardCopula.random(8, 3)):
-        chained = cb.transform(cb.transform(func, "sigma1"), "sigma2")
-        hat = cb.transform(func, "survival")
+        chained = cb.TransformedFunction(cb.TransformedFunction(func, "sigma1"), "sigma2")
+        hat = cb.TransformedFunction(func, "survival")
         assert np.abs(chained(U, V) - hat(U, V)).max() <= 1e-12
 
 
 def test_transform_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        cb.transform(cb.M, "rotate")
+        cb.TransformedFunction(cb.M, "rotate")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,8 @@ def test_counts_must_be_whole_numbers():
 # ---------------------------------------------------------------------------
 
 def test_shuffle_spec_validation():
+    with pytest.raises(cb.InvalidSpecError, match="need at least one piece"):
+        cb.ShuffleSpec((0.0,), (), ())
     with pytest.raises(cb.InvalidSpecError):
         cb.ShuffleSpec((0.0, 0.5), (1,), (1,))
     with pytest.raises(cb.InvalidSpecError):
@@ -349,6 +357,13 @@ def test_grid_function_margins_and_mass():
 
 
 def test_grid_function_validation():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=rf"n must be >= 1, got {n}"):
+            core.grid_nodes(n)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        cb.GridFunction.from_function(cb.PI, 0)
+    with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+        cb.GridFunction(1, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         cb.GridFunction(4, np.zeros((4, 4)))
     with pytest.raises(ValueError):

@@ -281,12 +281,12 @@ def test_each_region_vanishes_at_its_declared_parameter(cls, code, point):
         assert all(c not in bound._live for c in codes)
         for u, v in [(VANISH_GRID[:, None], VANISH_GRID[None, :]), VANISH_RANDOM, *frontier]:
             u, v = np.clip(u, 0.0, 1.0), np.clip(v, 0.0, 1.0)
-            assert not any(mask.any() for mask in bound._masks(u, v, codes)), k
+            assert not any(bound._mask(c, u, v).any() for c in codes), k
     grid = np.arange(601) / 600
     for k, (u, v) in ((top - 1e-3, (grid[:, None], grid[None, :])), (top - 1e-6, frontier[0])):
         bound = cls(k)
         assert all(c in bound._live for c in codes)
-        masks = bound._masks(u, v, codes) + bound._masks(v, u, codes)
+        masks = [bound._mask(c, u, v) for c in codes] + [bound._mask(c, v, u) for c in codes]
         assert masks[0].any() and masks[-1].any(), k
 
 
