@@ -161,11 +161,10 @@ def cmd_grid(args) -> CsvTable:
     t = core.grid_nodes(args.n)
     # on the broadcast grid each per-axis term is computed once per node; the
     # operations are elementwise, so values equal those of the flat columns
-    a, b = t[:, None], t[None, :]
-    codes = func._region_codes(a, b).ravel()
+    values, codes = func._evaluate(t[:, None], t[None, :], codes=True)
     return CsvTable(["a", "b", "value", "region"],
-                    [np.repeat(t, args.n + 1), np.tile(t, args.n + 1), func(a, b).ravel(),
-                     np.asarray(func.LABELS, dtype=object)[codes]])
+                    [np.repeat(t, args.n + 1), np.tile(t, args.n + 1), values.ravel(),
+                     np.asarray(func.LABELS, dtype=object)[codes.ravel()]])
 
 
 def cmd_table1(args) -> CsvTable:

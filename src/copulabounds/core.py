@@ -35,14 +35,19 @@ class OutOfRangeError(ValueError):
 
 
 def _as_unit(x, what="coordinate"):
-    """Coerce to float array, clamp drift within UNIT_SLACK, reject farther and NaN."""
+    """Coerce to float array, clamp drift within UNIT_SLACK, reject farther and NaN.
+
+    An array already in [0, 1] is returned as is, not copied (so -0.0 keeps
+    its sign, as it does through ``np.clip``); evaluators never write into
+    their coordinates."""
     x = np.asarray(x, dtype=float)
-    if x.size and not (np.all(x >= -UNIT_SLACK) and np.all(x <= 1.0 + UNIT_SLACK)):
-        raise ValueError(
-            f"{what} outside the unit interval: range "
-            f"[{float(np.min(x))}, {float(np.max(x))}]"
-        )
-    return np.clip(x, 0.0, 1.0)
+    if not x.size:
+        return x
+    lo, hi = float(x.min()), float(x.max())
+    # written so that NaN fails it
+    if not (lo >= -UNIT_SLACK and hi <= 1.0 + UNIT_SLACK):
+        raise ValueError(f"{what} outside the unit interval: range [{lo}, {hi}]")
+    return x if lo >= 0.0 and hi <= 1.0 else np.clip(x, 0.0, 1.0)
 
 
 def _on_unit(fn, u, v, cast=float):
@@ -133,7 +138,9 @@ class Envelope(BivariateFunction):
     Subclasses declare the spec ``NAME``, the ``MEASURE`` and its ``RANGE``,
     ``W_UP_TO`` and ``M_FROM`` (the bound is W for k <= W_UP_TO and M for
     k >= M_FROM), ``QUASI`` (the open interval of k where the bound is not a
-    copula, empty by default) and ``_bound(u, v, w, m)``, clamped to [W, M].
+    copula, empty by default) and ``_pass(u, v, codes)``: the bound clamped
+    to [W, M] and its int8 region codes, which may be None unless ``codes``
+    is true. The pass ignores W_UP_TO and M_FROM; ``_evaluate`` applies them.
     """
 
     W_UP_TO, M_FROM, QUASI = -np.inf, np.inf, (0.0, 0.0)
@@ -149,18 +156,20 @@ class Envelope(BivariateFunction):
         """The functional form (k, u, v) of the bound: ``cls(k)(u, v)``."""
         return cls(k)(u, v)
 
-    def _value(self, u, v):
-        w, m = W._value(u, v), M._value(u, v)
+    def _evaluate(self, u, v, codes=False):
+        """The values and, when ``codes``, the region codes (else None)."""
+        if self.W_UP_TO < self.k < self.M_FROM:
+            return self._pass(u, v, codes)
         # where the bound is exactly W or M, return it: the degenerate regions
         # are fragile and the clamp must not leak edge rounding into it
-        if self.k <= self.W_UP_TO:
-            return w
-        if self.k >= self.M_FROM:
-            return m
-        return np.clip(self._bound(u, v, w, m), w, m)
+        vals = (W if self.k <= self.W_UP_TO else M)._value(u, v)
+        return vals, self._region_codes(u, v) if codes else None
+
+    def _value(self, u, v):
+        return self._evaluate(u, v)[0]
 
     def _region_codes(self, u, v):
-        return np.zeros(np.broadcast(u, v).shape, dtype=np.int8)
+        return self._pass(u, v, True)[1]
 
 
 class PiecewiseEnvelope(Envelope):
@@ -177,6 +186,14 @@ class PiecewiseEnvelope(Envelope):
     A region is live while k < VANISH + 1e-9; only live masks and pieces are
     ever built. A dead mask is false at every node, so leaving it out keeps
     the first match, and with it every code and value.
+
+    One pass, ``_pass``, gives the values and, when asked, the codes. M is
+    written once over the broadcast shape. On the block, one sweep over the
+    live masks gives each node the first code whose mask holds (the rule of
+    ``np.select``), and each live piece runs on the nodes of its code only,
+    clamped to [W, M] there. Everywhere else clip(M, W, M) would be M bit
+    for bit, so the values are those of the all-pieces form clamped on every
+    node.
 
     No region reaches a row or column x with 6x(1 - x) < tau. The regions
     cover the points where the envelope lies below M, which are those where
@@ -253,38 +270,35 @@ class PiecewiseEnvelope(Envelope):
         return ([self._mask(c, u, v) for c in codes],
                 [self._mirrored(self._piece, c, u, v) for c in codes])
 
-    def _select(self, u, v):
-        # the first live region whose mask holds, else 0; adjacent pieces
-        # agree on shared boundaries, so the order only picks among equal
-        # expressions
-        masks = [self._mask(c, u, v) for c in self._live]
-        return np.select(masks, np.array(self._live, dtype=np.int8), np.int8(0))
-
-    def _region_codes(self, u, v):
-        codes = np.zeros(np.broadcast(u, v).shape, dtype=np.int8)
-        block = self._block(u, v)
-        if block:
-            ix, a, b = block
-            codes[ix] = self._select(a, b)
-        return codes
-
-    def _bound(self, u, v, w, m):
-        # each live piece runs only on the nodes of its code, inside the
-        # block; code 0 and everything outside the block keep M
+    def _pass(self, u, v, codes=False):
+        out = M._value(u, v)
+        found = np.zeros(out.shape, dtype=np.int8) if codes else None
         block = self._block(u, v)
         if not block:
-            return m
+            return out, found
         ix, a, b = block
-        codes = self._select(a, b)
-        vals = M._value(a, b)  # on the block
-        a, b = np.broadcast_arrays(a, b)
+        vals = M._value(a, b)
+        block_codes = np.zeros(vals.shape, dtype=np.int8) if codes else None
+        # adjacent pieces agree on shared boundaries, so the order of the
+        # sweep only picks among equal expressions. The masks take a and b as
+        # cut, so that terms of one coordinate stay one value per row or column;
+        # the gathers take them broadcast to the block.
+        free = np.ones(vals.shape, dtype=bool)
+        full_a, full_b = np.broadcast_arrays(a, b)
         for code in self._live:
-            nodes = codes == code
-            if nodes.any():
-                vals[nodes] = self._mirrored(self._piece, code, a[nodes], b[nodes])
-        out = m.copy()
+            nodes = self._mask(code, a, b) & free
+            if not nodes.any():
+                continue
+            free ^= nodes
+            if codes:
+                block_codes[nodes] = code
+            x, y = full_a[nodes], full_b[nodes]
+            vals[nodes] = np.clip(self._mirrored(self._piece, code, x, y),
+                                  W._value(x, y), M._value(x, y))
         out[ix] = vals
-        return out
+        if codes:
+            found[ix] = block_codes
+        return out, found
 
 
 class FrechetLower(BivariateFunction):
@@ -393,8 +407,8 @@ class ExtremalSpec:
     def anchor_value(self) -> float:
         """Value taken at the anchor: W(a,b)+c for lower, M(a,b)-c for upper."""
         if self.kind == "lower":
-            return max(self.a + self.b - 1.0, 0.0) + self.c
-        return min(self.a, self.b) - self.c
+            return float(W._value(self.a, self.b)) + self.c
+        return float(M._value(self.a, self.b)) - self.c
 
 
 class ExtremalCopula(BivariateFunction):
@@ -756,6 +770,11 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     level and per side would, so the output does not depend on the blocking.
     A non-finite value of the conditional CDF, in the probe table or in a
     bisection step, raises ValueError.
+
+    The points are walked in the order of u, so that an envelope cuts the
+    probe's u axis by a slice (``PiecewiseEnvelope._block``). Each point's
+    steps see only its own doubles, so the walk changes no output; the rows
+    are returned in draw order.
     """
     count, seed = _whole(count, "count"), _whole(seed, "seed")
     if count < 1:
@@ -765,8 +784,10 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     if not 2.0 ** -53 <= inv_tol < np.inf:
         raise ValueError("inv_tol must be finite and at least 2**-53")
     rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    p = rng.random(count)
+    draw_u = rng.random(count)
+    order = np.argsort(draw_u)
+    u = draw_u[order]
+    p = rng.random(count)[order]
     h = DERIV_STEP
     base = np.minimum(u, 1.0 - h)
     x = np.stack([base + h, base])
@@ -800,4 +821,6 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
         take = cond(x, mid) < p
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
-    return np.column_stack([u, 0.5 * (lo + hi)])
+    v = np.empty(count)
+    v[order] = 0.5 * (lo + hi)
+    return np.column_stack([draw_u, v])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, PiecewiseEnvelope
+from .core import M, W, Envelope, PiecewiseEnvelope
 from .concordance import FOOTRULE_RANGE, _check_measure
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
@@ -36,11 +36,14 @@ class FootruleLowerBound(Envelope):
     W_UP_TO, M_FROM = -0.5, 1.0
     phi = property(lambda self: self.k)
 
-    def _bound(self, u, v, w, m):
+    def _pass(self, u, v, codes=False):
         q = (1.0 - self.k) / 6.0
         inside = (u * v >= q) & ((1.0 - u) * (1.0 - v) >= q)
         val = 0.5 * (u + v - np.sqrt(2.0 * (1.0 - self.k) / 3.0 + (v - u) ** 2))
-        return np.where(inside, val, w)
+        w = W._value(u, v)
+        # one piece, which has no region code
+        return (np.clip(np.where(inside, val, w), w, M._value(u, v)),
+                np.zeros(inside.shape, dtype=np.int8))
 
 
 class FootruleUpperBound(PiecewiseEnvelope):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Envelope, PiecewiseEnvelope
+from .core import M, W, Envelope, PiecewiseEnvelope
 from .concordance import GINI_RANGE
 
 OMEGA_LABELS = ("none", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9")
@@ -126,12 +126,13 @@ class GiniLowerBound(Envelope):
         super().__init__(gamma)
         self._reflected = GiniUpperBound(-self.k)
 
-    def _bound(self, u, v, w, m):
-        # the reflected envelope's own clamp is part of the value
-        return u - self._reflected._value(u, 1.0 - v)
-
-    def _region_codes(self, u, v):
-        return self._reflected._region_codes(u, 1.0 - v)
+    def _pass(self, u, v, codes=False):
+        # the reflected envelope's own clamp is part of the value; for gamma
+        # in (W_UP_TO, M_FROM), -gamma lies inside the reflected envelope's
+        # own pair, so its short circuits never apply. u - min(u, 1 - v) is
+        # not provably inside [W, M] in floating point: the clamp is on every node
+        vals, found = self._reflected._pass(u, 1.0 - v, codes)
+        return np.clip(u - vals, W._value(u, v), M._value(u, v)), found
 
 
 # the functional forms (k, u, v) of the envelopes and the region codes

@@ -53,6 +53,43 @@ def test_evaluators_reject_far_outside_inputs():
         cb.footrule_upper_bound(0.0, np.nan, 0.5)
 
 
+def test_unit_coordinates_in_range_are_not_copied():
+    x = np.array([-0.0, 0.25, 1.0])
+    got = core._as_unit(x, "u")
+    assert got is x and np.signbit(got[0])
+    # drift within UNIT_SLACK is clamped into a new array
+    drift = np.array([-1e-13, 0.5, 1.0 + 1e-13])
+    got = core._as_unit(drift, "u")
+    assert got is not drift and got.tolist() == [0.0, 0.5, 1.0]
+    assert drift.tolist() == [-1e-13, 0.5, 1.0 + 1e-13]
+    for bad, shown in (([0.2, np.nan], "[nan, nan]"), ([0.2, 1.5], "[0.2, 1.5]"),
+                       ([-0.1, 0.5], "[-0.1, 0.5]"), ([np.inf, 0.5], "[0.5, inf]")):
+        with pytest.raises(ValueError) as exc:
+            core._as_unit(np.array(bad), "u")
+        assert str(exc.value) == f"u outside the unit interval: range {shown}"
+
+
+ALIAS_FUNCS = (cb.W, cb.M, cb.PI,
+               core.ExtremalCopula(core.ExtremalSpec(0.3, 0.6, 0.1, "lower")),
+               core.ShuffleOfMin(core.HALF_SHIFT_SHUFFLE),
+               cb.FootruleLowerBound(0.1), cb.FootruleUpperBound(-0.3),
+               cb.GiniUpperBound(-0.6), cb.GiniUpperBound(0.6), cb.GiniLowerBound(0.3))
+
+
+@pytest.mark.parametrize("func", ALIAS_FUNCS, ids=lambda f: f.label)
+def test_evaluators_leave_their_coordinates_alone(func):
+    # coordinates in [0, 1] reach the evaluator uncopied, so no evaluator may
+    # write into them or hand them back as its result
+    t = np.concatenate([[-0.0], GRID])
+    flat = np.random.default_rng(29).random((2, 500))
+    for u, v in ((t[:, None], t[None, :]), (flat[0], flat[1]), (t, t)):
+        before = u.tobytes(), v.tobytes()
+        out = func(u, v)
+        assert out is not u and out is not v
+        assert not np.shares_memory(out, u) and not np.shares_memory(out, v)
+        assert (u.tobytes(), v.tobytes()) == before
+
+
 @given(unit_floats, unit_floats)
 @settings(max_examples=200)
 def test_frechet_envelope_of_builtins(u, v):
@@ -455,6 +492,18 @@ def test_sample_conditional_finest_tolerance_terminates():
     # brackets end as adjacent doubles; at 2**-53 those above 1/2 are narrow enough
     pts = cb.sample_conditional(cb.PI, 2000, 1, inv_tol=2.0 ** -53)
     assert pts.shape == (2000, 2) and np.all((pts >= 0.0) & (pts <= 1.0))
+
+
+@pytest.mark.parametrize("count", [1, 7, 2000])
+@pytest.mark.parametrize("spec", ["g-lower:-0.3", "f-lower:0.25", "Pi"])
+def test_sample_conditional_keeps_draw_order(spec, count):
+    # the points are walked in u order; the output is in draw order
+    pts = cb.sample_conditional(cli.parse_copula_spec(spec), count, 23)
+    rng = np.random.default_rng(23)
+    assert pts[:, 0].tobytes() == rng.random(count).tobytes()
+    if spec == "Pi":
+        # the conditional CDF of Pi is v, so each v is its own level p
+        assert np.abs(pts[:, 1] - rng.random(count)).max() <= 1e-6
 
 
 # SHA-256 over the output bytes of every (count, inv_tol) pair below, in

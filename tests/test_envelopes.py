@@ -215,16 +215,19 @@ def test_no_region_outside_the_block(cls, k):
         masks, values = bound._pieces(u, v)
         codes = np.select(masks, np.arange(1, len(masks) + 1), 0)
         np.testing.assert_array_equal(bound._region_codes(u, v), codes)
-        # _bound is the block path of _value, also past M_FROM where _value
-        # returns M without it
-        got = np.clip(bound._bound(u, v, w, m), w, m)
+        # _pass is the block path of _value, also past M_FROM where _value
+        # returns M without it; its values are clamped already
+        got, found = bound._pass(u, v, codes=True)
+        np.testing.assert_array_equal(found, codes)
         assert got.tobytes() == np.clip(np.select(masks, values, m), w, m).tobytes()
+        assert bound._pass(u, v)[0].tobytes() == got.tobytes()
 
 
 def test_block_index_forms():
-    # sorted nodes are cut by slices; one unsorted axis (sampler points) by
-    # one index array among slices; more than one through np.ix_. Each form
-    # gives the codes and values of the full-mask form.
+    # sorted nodes are cut by slices; one unsorted axis (the points of a
+    # sampler's bisection step) by one index array among slices; more than
+    # one through np.ix_. Each form gives the codes and values of the
+    # full-mask form.
     t = np.arange(257) / 256
     r = np.random.default_rng(67).random((3, 400))
     pair = np.stack([r[0], r[1]])
@@ -244,7 +247,8 @@ def test_block_index_forms():
             masks, values = bound._pieces(u, v)
             codes = np.select(masks, np.arange(1, len(masks) + 1), 0)
             np.testing.assert_array_equal(bound._region_codes(u, v), codes)
-            got = np.clip(bound._bound(u, v, w, m), w, m)
+            got, found = bound._pass(u, v, codes=True)
+            np.testing.assert_array_equal(found, codes)
             assert got.tobytes() == np.clip(np.select(masks, values, m), w, m).tobytes()
 
 
