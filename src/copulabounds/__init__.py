@@ -4,15 +4,11 @@ regions against Blomqvist beta, and effectiveness scores."""
 
 from .core import (
     AxiomReport,
-    BadRectangleError,
     BivariateFunction,
-    CheckerboardCopula,
     ExtremalCopula,
     ExtremalSpec,
     FrechetLower,
     FrechetUpper,
-    GridFunction,
-    HALF_SHIFT_SHUFFLE,
     IDENTITY_SHUFFLE,
     Independence,
     InvalidSpecError,
@@ -23,12 +19,9 @@ from .core import (
     REVERSAL_SHUFFLE,
     ShuffleOfMin,
     ShuffleSpec,
-    TransformedFunction,
     UnitPoint,
     W,
     check_quasicopula,
-    h_volume,
-    max_asymmetry,
     sample_conditional,
     sample_shuffle,
 )
@@ -36,7 +29,6 @@ from .concordance import (
     DEFAULT_QUADRATURE,
     FOOTRULE_RANGE,
     GINI_RANGE,
-    NotACopulaGridError,
     QuadratureConfig,
     blomqvist_beta,
     f_lower,
@@ -44,7 +36,6 @@ from .concordance import (
     g_lower,
     g_upper,
     gini_gamma,
-    q_concordance,
     spearman_footrule,
     q_m_extremal_lower,
     q_m_extremal_upper,
@@ -59,7 +50,6 @@ from .footrule import (
     footrule_lower_bound,
     footrule_of_lower_bound,
     footrule_upper_bound,
-    hyperbola_halfwidth,
 )
 from .gini import (
     GiniLowerBound,
@@ -70,13 +60,10 @@ from .gini import (
     omega_region,
 )
 from .regions import (
-    KindMismatchError,
-    MeasurePair,
     beta_range_given_footrule,
     beta_range_given_gini,
     footrule_range_given_beta,
     gini_range_given_beta,
-    pair_in_region,
 )
 from .effectiveness import (
     EffectivenessRow,

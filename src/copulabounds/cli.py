@@ -96,6 +96,9 @@ def _load_shuffle(path: str) -> core.ShuffleSpec:
             raise SpecParseError(f"bad shuffle line {ln!r}: {exc}") from exc
     if not pieces:
         raise SpecParseError(f"shuffle file {path} has no pieces")
+    # a NaN start passes the contiguity test below and never becomes a cut
+    if any(np.isnan(p[0]) for p in pieces):
+        raise core.InvalidSpecError("shuffle cuts must not be NaN")
     pieces.sort(key=lambda p: p[0])
     cuts = [pieces[0][0]]
     for start, end, _, _ in pieces:

@@ -1,8 +1,7 @@
 """Concordance machinery.
 
 The three association measures (Spearman footrule, Gini gamma, Blomqvist
-beta) by line quadrature or exact evaluation, a discrete Stieltjes
-concordance integral against gridded copulas, closed forms of the
+beta) by line quadrature or exact evaluation, closed forms of the
 concordance integral on the extremal-copula families, and the piecewise
 value of footrule/gamma on those families as a function of the anchored
 value; on the lower family both come from one pair of concordances,
@@ -16,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (M, W, ExtremalSpec, GridFunction, OutOfRangeError, _check_range, _finite,
-                   _whole, grid_nodes)
+from .core import M, W, ExtremalSpec, OutOfRangeError, _check_range, _finite, _whole, grid_nodes
 
 FOOTRULE_RANGE = (-0.5, 1.0)
 GINI_RANGE = (-1.0, 1.0)
 BLOMQVIST_RANGE = (-1.0, 1.0)
 # the ranges by every name that argument checks report a measure under
-_MEASURE_RANGES = {"footrule": FOOTRULE_RANGE, "gamma": GINI_RANGE, "gini": GINI_RANGE,
-                   "beta": BLOMQVIST_RANGE}
+_MEASURE_RANGES = {"footrule": FOOTRULE_RANGE, "gamma": GINI_RANGE, "beta": BLOMQVIST_RANGE}
 
 
 def _check_measure(name: str, value) -> float:
@@ -32,10 +29,6 @@ def _check_measure(name: str, value) -> float:
     ``_check_range``, whose error message names the measure ``name``."""
     lo, hi = _MEASURE_RANGES[name]
     return _check_range(value, lo, hi, name)
-
-
-class NotACopulaGridError(ValueError):
-    """A gridded function has a meaningfully negative cell volume."""
 
 
 @dataclass(frozen=True)
@@ -90,22 +83,6 @@ def blomqvist_beta(func) -> float:
     """Blomqvist beta 4 * C(1/2, 1/2) - 1."""
     val = _finite(4.0 * float(func(0.5, 0.5)) - 1.0, "beta")
     return min(max(val, BLOMQVIST_RANGE[0]), BLOMQVIST_RANGE[1])
-
-
-def q_concordance(grid: GridFunction, func) -> float:
-    """Discrete Stieltjes concordance 4 * sum C2(midpoints) * mass - 1.
-
-    ``grid`` carries the integrating copula; cell masses are its grid-cell
-    volumes and ``func`` is evaluated at cell midpoints. Rejects grids with
-    a cell volume below -1e-9, and a non-finite result.
-    """
-    vols = grid.cell_volumes()
-    worst = float(vols.min())
-    if worst < -1e-9:
-        raise NotACopulaGridError(f"cell volume {worst} is negative; not a copula grid")
-    mid = grid.midpoints()
-    vals = func(mid[:, None], mid[None, :])
-    return _finite(float(4.0 * np.sum(vals * vols) - 1.0), "concordance")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Copula primitives on the unit square.
 
-Frechet-Hoeffding envelope, reflections, the extremal copulas through a
-prescribed point, shuffles of min, checkerboard copulas, grid audits of the
-(quasi-)copula axioms, and samplers.
+Frechet-Hoeffding envelope, the product copula, the envelope base classes,
+the extremal copulas through a prescribed point, shuffles of min, grid
+audits of the (quasi-)copula axioms, and samplers.
 
 Evaluators are immutable after construction and safe to call concurrently.
 Samplers take an explicit seed and own their generator, so equal seeds
@@ -20,10 +20,6 @@ UNIT_SLACK = 1e-12
 
 class InvalidSpecError(ValueError):
     """Parameters of an extremal-copula or shuffle spec are inconsistent."""
-
-
-class BadRectangleError(ValueError):
-    """Rectangle corners are not ordered lo <= hi componentwise."""
 
 
 class NotMonotoneError(ValueError):
@@ -263,13 +259,6 @@ class PiecewiseEnvelope(Envelope):
         int for scalar input."""
         return _on_unit(cls(k)._region_codes, u, v, int)
 
-    def _pieces(self, u, v):
-        """Masks and values of all pieces, live or not, on every node, for
-        the tests."""
-        codes = range(1, len(self.LABELS))
-        return ([self._mask(c, u, v) for c in codes],
-                [self._mirrored(self._piece, c, u, v) for c in codes])
-
     def _pass(self, u, v, codes=False):
         out = M._value(u, v)
         found = np.zeros(out.shape, dtype=np.int8) if codes else None
@@ -331,44 +320,6 @@ class Independence(BivariateFunction):
 W = FrechetLower()
 M = FrechetUpper()
 PI = Independence()
-
-TRANSFORM_KINDS = ("transpose", "sigma1", "sigma2", "survival")
-
-
-class TransformedFunction(BivariateFunction):
-    """Reflection of a unit-square function.
-
-    transpose: C(v, u); sigma1: v - C(1-u, v); sigma2: u - C(u, 1-v);
-    survival: u + v - 1 + C(1-u, 1-v).
-    """
-
-    def __init__(self, base, kind):
-        if kind not in TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform {kind!r}, expected one of {TRANSFORM_KINDS}")
-        self.base = base
-        self.kind = kind
-        self.label = f"{kind}({base.label})"
-
-    def _value(self, u, v):
-        base = self.base._value
-        if self.kind == "transpose":
-            return base(v, u)
-        if self.kind == "sigma1":
-            return v - base(1.0 - u, v)
-        if self.kind == "sigma2":
-            return u - base(u, 1.0 - v)
-        return u + v - 1.0 + base(1.0 - u, 1.0 - v)
-
-
-def max_asymmetry(u, v):
-    """Pointwise supremum of |C(u,v) - C(v,u)| over all copulas.
-
-    Equals min(u, v, 1-u, 1-v, |v-u|).
-    """
-    def value(u, v):
-        out = np.minimum(np.minimum(u, v), np.minimum(1.0 - u, 1.0 - v))
-        return np.minimum(out, np.abs(v - u))
-    return _on_unit(value, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +496,6 @@ class ShuffleOfMin(BivariateFunction):
 
 IDENTITY_SHUFFLE = ShuffleSpec((0.0, 1.0), (1,), (1,))
 REVERSAL_SHUFFLE = ShuffleSpec((0.0, 1.0), (1,), (-1,))
-HALF_SHIFT_SHUFFLE = ShuffleSpec((0.0, 0.5, 1.0), (2, 1), (1, 1))
 
 
 def sample_shuffle(spec: ShuffleSpec, count: int, seed: int) -> np.ndarray:
@@ -568,17 +518,8 @@ def sample_shuffle(spec: ShuffleSpec, count: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rectangle mass and axiom audits
+# Axiom audits
 # ---------------------------------------------------------------------------
-
-def h_volume(func, lo: UnitPoint, hi: UnitPoint) -> float:
-    """Mass C(hi) - C(hi.u, lo.v) - C(lo.u, hi.v) + C(lo) of a rectangle;
-    ValueError when it is not finite."""
-    if lo.u > hi.u or lo.v > hi.v:
-        raise BadRectangleError(f"corners not ordered: {lo} !<= {hi}")
-    return _finite(float(func(hi.u, hi.v) - func(hi.u, lo.v) - func(lo.u, hi.v)
-                         + func(lo.u, lo.v)), "h-volume")
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -641,99 +582,6 @@ def check_quasicopula(func, n: int = 200, tol: float = 1e-9) -> AxiomReport:
         lipschitz_violation=lip,
         margin_violation=margin,
     )
-
-
-# ---------------------------------------------------------------------------
-# Grid samples and checkerboard copulas
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Node samples values[i, j] = F(i/n, j/n) of a unit-square function."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        n, values = _whole(self.n, "n"), np.asarray(self.values, dtype=float)
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
-        if values.shape != (n + 1, n + 1):
-            raise ValueError(f"values must have shape ({n + 1}, {n + 1})")
-        if not (values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9):
-            raise ValueError("grid values must lie in [0, 1] and not be NaN")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_function(cls, func, n: int) -> "GridFunction":
-        t = grid_nodes(n)
-        return cls(n, func(t[:, None], t[None, :]))
-
-    def cell_volumes(self) -> np.ndarray:
-        du = np.diff(self.values, axis=0)
-        return du[:, 1:] - du[:, :-1]
-
-    def midpoints(self) -> np.ndarray:
-        return (np.arange(self.n) + 0.5) / self.n
-
-
-SINKHORN_ITERS = 1000
-
-
-class CheckerboardCopula(BivariateFunction):
-    """Piecewise-uniform copula spreading masses[i, j] over cell ij.
-
-    Every row and column of ``masses`` must sum to 1/n (uniform margins);
-    the CDF is then bilinear inside each cell, interpolating the cumulative
-    corner values exactly.
-    """
-
-    def __init__(self, masses):
-        masses = np.asarray(masses, dtype=float)
-        if masses.ndim != 2 or masses.shape[0] != masses.shape[1] or not masses.size:
-            raise InvalidSpecError("masses must be a nonempty square matrix")
-        n = masses.shape[0]
-        if not masses.min() >= -UNIT_SLACK:
-            raise InvalidSpecError("cell masses must be nonnegative and not NaN")
-        target = 1.0 / n
-        if not (np.abs(masses.sum(axis=0) - target).max() <= 1e-9
-                and np.abs(masses.sum(axis=1) - target).max() <= 1e-9):
-            raise InvalidSpecError("rows and columns must each sum to 1/n")
-        self.n = n
-        self.masses = masses
-        cum = np.zeros((n + 1, n + 1))
-        np.cumsum(np.cumsum(masses, axis=0), axis=1, out=cum[1:, 1:])
-        self._cum = cum
-        self.label = f"checkerboard[{n}]"
-
-    @classmethod
-    def random(cls, n: int, seed: int) -> "CheckerboardCopula":
-        """Random checkerboard via Sinkhorn balancing of a positive matrix,
-        for at most ``SINKHORN_ITERS`` sweeps."""
-        n, seed = _whole(n, "n"), _whole(seed, "seed")
-        if n < 1:
-            raise InvalidSpecError(f"n must be >= 1, got {n}")
-        rng = np.random.default_rng(seed)
-        m = rng.random((n, n)) + 0.1
-        for _ in range(SINKHORN_ITERS):
-            m /= m.sum(axis=1, keepdims=True) * n
-            m /= m.sum(axis=0, keepdims=True) * n
-            if np.abs(m.sum(axis=1) * n - 1.0).max() < 1e-15:
-                break
-        return cls(m)
-
-    def _value(self, u, v):
-        n = self.n
-        x = u * n
-        y = v * n
-        i = np.minimum(np.floor(x).astype(np.intp), n - 1)
-        j = np.minimum(np.floor(y).astype(np.intp), n - 1)
-        fu = x - i
-        fv = y - j
-        c = self._cum
-        return ((1 - fu) * (1 - fv) * c[i, j] + fu * (1 - fv) * c[i + 1, j]
-                + (1 - fu) * fv * c[i, j + 1] + fu * fv * c[i + 1, j + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,6 @@ from .concordance import FOOTRULE_RANGE, _check_measure
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
 
-def hyperbola_halfwidth(phi) -> float:
-    """Half-length of the diagonal span where the lower envelope's singular
-    arcs leave the anti-diagonal: sqrt(3 (1 + 2 phi)) / 6."""
-    phi = _check_measure("footrule", phi)
-    return float(np.sqrt(3.0 * (1.0 + 2.0 * phi)) / 6.0)
-
-
 class FootruleLowerBound(Envelope):
     """Least value at (u, v) among all copulas with the given footrule;
     always a copula."""

@@ -3,6 +3,8 @@ which the pieces vanish, shared by the footrule and gamma tests."""
 
 import numpy as np
 
+from oracles import all_pieces
+
 
 def assert_boundary_pairs(cls, param, curves, min_points):
     """Check the two governing expressions agree on shared boundary curves.
@@ -27,7 +29,7 @@ def assert_boundary_pairs(cls, param, curves, min_points):
         a, b = a[qual], b[qual]
         if a.size == 0:
             continue
-        _, values = bound._pieces(a, b)
+        _, values = all_pieces(bound, a, b)
         lhs = values[left - 1] if left else np.minimum(a, b)
         rhs = values[right - 1] if right else np.minimum(a, b)
         assert np.abs(lhs - rhs).max() <= 1e-9, (left, right, param)

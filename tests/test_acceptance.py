@@ -11,6 +11,8 @@ import pytest
 
 import copulabounds as cb
 
+from oracles import CheckerboardCopula, GridFunction, TransformedFunction, h_volume, q_concordance
+
 REFERENCE_FOOTRULE_M = {
     -0.5: 0.7500, -0.4: 0.3718, -0.3: 0.2244, -0.2: 0.1352, -0.1: 0.0820,
     0.0: 0.0574, 0.1: 0.0569, 0.2: 0.0763, 0.3: 0.1108, 0.4: 0.1562,
@@ -73,13 +75,13 @@ def test_criterion_03_concordance_closed_forms_vs_oracle():
         c = rng.uniform(0.0, min(a, b, 1 - a, 1 - b))
         if i % 2 == 0:
             spec = cb.ExtremalSpec(a, b, c, "lower")
-            grid = cb.GridFunction.from_function(cb.ExtremalCopula(spec), 400)
-            worst = max(worst, abs(cb.q_m_extremal_lower(spec) - cb.q_concordance(grid, cb.M)))
-            worst = max(worst, abs(cb.q_w_extremal_lower(spec) - cb.q_concordance(grid, cb.W)))
+            grid = GridFunction.from_function(cb.ExtremalCopula(spec), 400)
+            worst = max(worst, abs(cb.q_m_extremal_lower(spec) - q_concordance(grid, cb.M)))
+            worst = max(worst, abs(cb.q_w_extremal_lower(spec) - q_concordance(grid, cb.W)))
         else:
             spec = cb.ExtremalSpec(a, b, c, "upper")
-            grid = cb.GridFunction.from_function(cb.ExtremalCopula(spec), 400)
-            worst = max(worst, abs(cb.q_m_extremal_upper(spec) - cb.q_concordance(grid, cb.M)))
+            grid = GridFunction.from_function(cb.ExtremalCopula(spec), 400)
+            worst = max(worst, abs(cb.q_m_extremal_upper(spec) - q_concordance(grid, cb.M)))
     _report(3, "extremal concordance closed forms vs Stieltjes oracle (500 specs)",
             worst <= 5e-3, f"worst |diff|={worst:.2e}")
 
@@ -102,7 +104,7 @@ def test_criterion_04_copula_quasi_copula_dichotomy():
     for func in quasis:
         report = cb.check_quasicopula(func, n=200, tol=1e-9)
         lo, hi = report.worst_rectangle
-        located = cb.h_volume(func, lo, hi)
+        located = h_volume(func, lo, hi)
         ok_neg &= located < -1e-6
         worst_neg = min(worst_neg, located)
     _report(4, "two-increasing dichotomy on 200x200 grids", ok_pos and ok_neg,
@@ -159,13 +161,13 @@ def test_criterion_06_exact_region_attainment():
 
     quad = cb.QuadratureConfig(2048)
     inside = True
+    slack = 5e-3
     for seed in range(1000):
-        board = cb.CheckerboardCopula.random(int(rng.choice([4, 8, 16])), seed)
-        phi = cb.spearman_footrule(board, quad)
-        gam = cb.gini_gamma(board, quad)
+        board = CheckerboardCopula.random(int(rng.choice([4, 8, 16])), seed)
         beta = cb.blomqvist_beta(board)
-        inside &= cb.pair_in_region(cb.MeasurePair("footrule", phi, beta), slack=5e-3)
-        inside &= cb.pair_in_region(cb.MeasurePair("gini", gam, beta), slack=5e-3)
+        for lo, hi in (cb.beta_range_given_footrule(cb.spearman_footrule(board, quad)),
+                       cb.beta_range_given_gini(cb.gini_gamma(board, quad))):
+            inside &= lo - slack <= beta <= hi + slack
     _report(6, "exact-region attainment and interior pairs",
             ok_boundary and inside,
             f"worst boundary distance={worst:.2e}, 1000 checkerboards inside={inside}")
@@ -239,9 +241,9 @@ def test_criterion_10_gamma_from_footrule_antisymmetrisation():
     quad = cb.QuadratureConfig(2048)
     worst = 0.0
     for seed in range(100):
-        board = cb.CheckerboardCopula.random(16, 2000 + seed)
+        board = CheckerboardCopula.random(16, 2000 + seed)
         phi = cb.spearman_footrule(board, quad)
-        phi_reflected = cb.spearman_footrule(cb.TransformedFunction(board, "sigma1"), quad)
+        phi_reflected = cb.spearman_footrule(TransformedFunction(board, "sigma1"), quad)
         gam = cb.gini_gamma(board, quad)
         worst = max(worst, abs(gam - (2.0 / 3.0) * (phi - phi_reflected)))
     _report(10, "gamma equals scaled footrule antisymmetrisation",

@@ -346,10 +346,14 @@ def test_shuffle_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "eval", "phi", "shuffle:/nonexistent/file")[0] == 2
     path.write_bytes(b"0.0,1.0,1,1\n\xff\n")
     assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[:2] == (2, "")
-    # NaN cuts are a semantic rejection, not a silent nan or a cut replaced by 0
-    for text in ("0.0,nan,2,1\nnan,1.0,1,1\n", "nan,0.5,2,1\n0.5,1.0,1,1\n"):
+    # NaN cuts are a semantic rejection, not a silent nan or a cut replaced by
+    # 0, also as the start of a later line, which never becomes a cut
+    for text in ("0.0,nan,2,1\nnan,1.0,1,1\n", "nan,0.5,2,1\n0.5,1.0,1,1\n",
+                 "0,0.5,1,1\nnan,1,2,1\n"):
         path.write_text(text)
-        assert run_cli(capsys, "eval", "phi", f"shuffle:{path}")[:2] == (3, ""), text
+        code, out, err = run_cli(capsys, "eval", "phi", f"shuffle:{path}")
+        assert (code, out) == (3, ""), text
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_shuffle_file_skips_blank_and_comment_lines(tmp_path, capsys):

@@ -3,12 +3,15 @@ import pytest
 
 import copulabounds as cb
 
+from oracles import (CheckerboardCopula, GridFunction, NotACopulaGridError, TransformedFunction,
+                     h_volume, q_concordance)
+
 Q2048 = cb.QuadratureConfig(2048)
 Q4096 = cb.QuadratureConfig(4096)
 
 
 def boards(count, n=16, start=0):
-    return [cb.CheckerboardCopula.random(n, start + i) for i in range(count)]
+    return [CheckerboardCopula.random(n, start + i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -55,25 +58,25 @@ def test_simpson_weights_integrate_cubics_exactly():
 # ---------------------------------------------------------------------------
 
 def test_q_concordance_reference_values():
-    assert cb.q_concordance(cb.GridFunction.from_function(cb.M, 400), cb.M) == pytest.approx(1.0, abs=5e-3)
-    assert cb.q_concordance(cb.GridFunction.from_function(cb.W, 400), cb.W) == pytest.approx(-1.0, abs=5e-3)
+    assert q_concordance(GridFunction.from_function(cb.M, 400), cb.M) == pytest.approx(1.0, abs=5e-3)
+    assert q_concordance(GridFunction.from_function(cb.W, 400), cb.W) == pytest.approx(-1.0, abs=5e-3)
     # footrule of Pi is 0, forcing the cross value 1/3
-    assert cb.q_concordance(cb.GridFunction.from_function(cb.PI, 400), cb.M) == pytest.approx(1.0 / 3.0, abs=5e-3)
+    assert q_concordance(GridFunction.from_function(cb.PI, 400), cb.M) == pytest.approx(1.0 / 3.0, abs=5e-3)
 
 
 def test_q_concordance_rejects_quasi_copula_grids():
-    grid = cb.GridFunction.from_function(cb.FootruleUpperBound(0.0), 200)
-    with pytest.raises(cb.NotACopulaGridError):
-        cb.q_concordance(grid, cb.M)
+    grid = GridFunction.from_function(cb.FootruleUpperBound(0.0), 200)
+    with pytest.raises(NotACopulaGridError):
+        q_concordance(grid, cb.M)
 
 
 def test_measure_identities_on_checkerboards():
     for i, board in enumerate(boards(5)):
-        grid = cb.GridFunction.from_function(board, 400)
+        grid = GridFunction.from_function(board, 400)
         phi = cb.spearman_footrule(board, Q2048)
         gam = cb.gini_gamma(board, Q2048)
-        qm = cb.q_concordance(grid, cb.M)
-        qw = cb.q_concordance(grid, cb.W)
+        qm = q_concordance(grid, cb.M)
+        qw = q_concordance(grid, cb.W)
         assert phi == pytest.approx(0.5 * (3.0 * qm - 1.0), abs=3e-4), i
         assert gam == pytest.approx(qm + qw, abs=3e-4), i
 
@@ -81,19 +84,19 @@ def test_measure_identities_on_checkerboards():
 def test_gamma_is_scaled_footrule_antisymmetrisation():
     for board in boards(5, start=40):
         phi = cb.spearman_footrule(board, Q2048)
-        phi_r = cb.spearman_footrule(cb.TransformedFunction(board, "sigma1"), Q2048)
+        phi_r = cb.spearman_footrule(TransformedFunction(board, "sigma1"), Q2048)
         assert cb.gini_gamma(board, Q2048) == pytest.approx((2.0 / 3.0) * (phi - phi_r), abs=1e-10)
 
 
 def test_footrule_survival_invariance():
     for board in boards(4, start=80):
-        hat = cb.TransformedFunction(board, "survival")
+        hat = TransformedFunction(board, "survival")
         assert cb.spearman_footrule(board, Q2048) == pytest.approx(
             cb.spearman_footrule(hat, Q2048), abs=1e-12)
 
 
 def test_measures_monotone_in_pointwise_order():
-    board = cb.CheckerboardCopula.random(12, 5)
+    board = CheckerboardCopula.random(12, 5)
     chains = [(cb.W, board), (board, cb.M), (cb.W, cb.PI), (cb.PI, cb.M)]
     for lo, hi in chains:
         assert cb.spearman_footrule(lo, Q2048) <= cb.spearman_footrule(hi, Q2048) + 1e-12
@@ -140,11 +143,11 @@ def test_q_closed_forms_match_stieltjes_oracle():
         c = rng.uniform(0, min(a, b, 1 - a, 1 - b))
         lo = cb.ExtremalSpec(a, b, c, "lower")
         up = cb.ExtremalSpec(a, b, c, "upper")
-        glo = cb.GridFunction.from_function(cb.ExtremalCopula(lo), 400)
-        gup = cb.GridFunction.from_function(cb.ExtremalCopula(up), 400)
-        assert cb.q_m_extremal_lower(lo) == pytest.approx(cb.q_concordance(glo, cb.M), abs=5e-3)
-        assert cb.q_m_extremal_upper(up) == pytest.approx(cb.q_concordance(gup, cb.M), abs=5e-3)
-        assert cb.q_w_extremal_lower(lo) == pytest.approx(cb.q_concordance(glo, cb.W), abs=5e-3)
+        glo = GridFunction.from_function(cb.ExtremalCopula(lo), 400)
+        gup = GridFunction.from_function(cb.ExtremalCopula(up), 400)
+        assert cb.q_m_extremal_lower(lo) == pytest.approx(q_concordance(glo, cb.M), abs=5e-3)
+        assert cb.q_m_extremal_upper(up) == pytest.approx(q_concordance(gup, cb.M), abs=5e-3)
+        assert cb.q_w_extremal_lower(lo) == pytest.approx(q_concordance(glo, cb.W), abs=5e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +243,12 @@ def test_non_finite_evaluator_output_is_rejected(monkeypatch):
     with pytest.raises(ValueError, match="not finite"):
         cb.check_quasicopula(interior, n=20)
     with pytest.raises(ValueError, match="not finite"):
-        cb.h_volume(interior, cb.UnitPoint(0.2, 0.3), cb.UnitPoint(0.5, 0.5))
+        h_volume(interior, cb.UnitPoint(0.2, 0.3), cb.UnitPoint(0.5, 0.5))
     for measure in (cb.spearman_footrule, cb.gini_gamma, cb.blomqvist_beta):
         with pytest.raises(ValueError, match="not finite"):
             measure(upper_half)
     with pytest.raises(ValueError, match="not finite"):
-        cb.q_concordance(cb.GridFunction.from_function(cb.PI, 8), upper_half)
+        q_concordance(GridFunction.from_function(cb.PI, 8), upper_half)
     # NaN at the probe levels k/32, and NaN only between them (bisection steps)
     for hole in (lambda u, v: v >= 0.5, lambda u, v: (v > 0.5) & (v * 32.0 % 1.0 != 0.0)):
         with pytest.raises(ValueError, match="not finite"):

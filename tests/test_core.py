@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 import copulabounds as cb
 from copulabounds import cli, core
 
+from oracles import (HALF_SHIFT_SHUFFLE, BadRectangleError, CheckerboardCopula, GridFunction,
+                     TransformedFunction, h_volume)
+
 GRID = np.arange(81) / 80
 U, V = GRID[:, None], GRID[None, :]
 
@@ -71,7 +74,7 @@ def test_unit_coordinates_in_range_are_not_copied():
 
 ALIAS_FUNCS = (cb.W, cb.M, cb.PI,
                core.ExtremalCopula(core.ExtremalSpec(0.3, 0.6, 0.1, "lower")),
-               core.ShuffleOfMin(core.HALF_SHIFT_SHUFFLE),
+               core.ShuffleOfMin(HALF_SHIFT_SHUFFLE),
                cb.FootruleLowerBound(0.1), cb.FootruleUpperBound(-0.3),
                cb.GiniUpperBound(-0.6), cb.GiniUpperBound(0.6), cb.GiniLowerBound(0.3))
 
@@ -102,46 +105,30 @@ def test_frechet_envelope_of_builtins(u, v):
 # ---------------------------------------------------------------------------
 
 def test_survival_of_w_is_w():
-    hat = cb.TransformedFunction(cb.W, "survival")
+    hat = TransformedFunction(cb.W, "survival")
     assert np.abs(hat(U, V) - cb.W(U, V)).max() <= 1e-12
 
 
 def test_sigma1_of_m_is_w():
-    refl = cb.TransformedFunction(cb.M, "sigma1")
+    refl = TransformedFunction(cb.M, "sigma1")
     assert refl(0.3, 0.4) == pytest.approx(0.0, abs=1e-15)
     assert np.abs(refl(U, V) - cb.W(U, V)).max() <= 1e-12
 
 
 def test_transpose_of_pi():
-    assert cb.TransformedFunction(cb.PI, "transpose")(0.2, 0.7) == pytest.approx(0.14, abs=1e-15)
+    assert TransformedFunction(cb.PI, "transpose")(0.2, 0.7) == pytest.approx(0.14, abs=1e-15)
 
 
 def test_sigma1_then_sigma2_equals_survival():
-    for func in (cb.PI, cb.M, cb.CheckerboardCopula.random(8, 3)):
-        chained = cb.TransformedFunction(cb.TransformedFunction(func, "sigma1"), "sigma2")
-        hat = cb.TransformedFunction(func, "survival")
+    for func in (cb.PI, cb.M, CheckerboardCopula.random(8, 3)):
+        chained = TransformedFunction(TransformedFunction(func, "sigma1"), "sigma2")
+        hat = TransformedFunction(func, "survival")
         assert np.abs(chained(U, V) - hat(U, V)).max() <= 1e-12
 
 
 def test_transform_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        cb.TransformedFunction(cb.M, "rotate")
-
-
-# ---------------------------------------------------------------------------
-# max asymmetry
-# ---------------------------------------------------------------------------
-
-def test_max_asymmetry_values():
-    assert cb.max_asymmetry(0.5, 0.5) == 0.0
-    assert cb.max_asymmetry(0.25, 0.75) == 0.25
-    assert cb.max_asymmetry(0.0, 0.6) == 0.0
-
-
-def test_max_asymmetry_symmetries():
-    d = cb.max_asymmetry(U, V)
-    assert np.array_equal(d, cb.max_asymmetry(V, U))
-    assert np.abs(d - cb.max_asymmetry(1.0 - U, 1.0 - V)).max() <= 1e-12
+        TransformedFunction(cb.M, "rotate")
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +207,28 @@ def test_extremal_matches_its_shuffle_form():
 # ---------------------------------------------------------------------------
 
 def test_h_volume_values():
-    assert cb.h_volume(cb.PI, cb.UnitPoint(0, 0), cb.UnitPoint(1, 1)) == pytest.approx(1.0, abs=1e-15)
-    assert cb.h_volume(cb.M, cb.UnitPoint(0, 0.5), cb.UnitPoint(0.5, 1)) == pytest.approx(0.0, abs=1e-15)
+    assert h_volume(cb.PI, cb.UnitPoint(0, 0), cb.UnitPoint(1, 1)) == pytest.approx(1.0, abs=1e-15)
+    assert h_volume(cb.M, cb.UnitPoint(0, 0.5), cb.UnitPoint(0.5, 1)) == pytest.approx(0.0, abs=1e-15)
     # corner evaluation: W(.75,.75)=0.5, the three others vanish
-    assert cb.h_volume(cb.W, cb.UnitPoint(0.25, 0.25), cb.UnitPoint(0.75, 0.75)) == pytest.approx(0.5, abs=1e-15)
+    assert h_volume(cb.W, cb.UnitPoint(0.25, 0.25), cb.UnitPoint(0.75, 0.75)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_h_volume_rejects_bad_rectangle():
-    with pytest.raises(cb.BadRectangleError):
-        cb.h_volume(cb.PI, cb.UnitPoint(0.7, 0.2), cb.UnitPoint(0.3, 0.9))
+    with pytest.raises(BadRectangleError):
+        h_volume(cb.PI, cb.UnitPoint(0.7, 0.2), cb.UnitPoint(0.3, 0.9))
 
 
 def test_total_mass_is_one_for_builtin_copulas():
     lo, hi = cb.UnitPoint(0, 0), cb.UnitPoint(1, 1)
     funcs = [cb.W, cb.M, cb.PI,
              cb.ExtremalCopula(cb.ExtremalSpec(0.3, 0.6, 0.1, "lower")),
-             cb.ShuffleOfMin(cb.HALF_SHIFT_SHUFFLE),
-             cb.CheckerboardCopula.random(12, 1),
+             cb.ShuffleOfMin(HALF_SHIFT_SHUFFLE),
+             CheckerboardCopula.random(12, 1),
              cb.FootruleLowerBound(0.2),
              cb.GiniUpperBound(0.3),
              cb.GiniLowerBound(-0.3)]
     for f in funcs:
-        assert cb.h_volume(f, lo, hi) == pytest.approx(1.0, abs=1e-12)
+        assert h_volume(f, lo, hi) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +248,7 @@ def test_check_quasicopula_flags_upper_footrule_envelope():
     assert not report.is_two_increasing
     # the located rectangle really carries the reported negative mass
     lo, hi = report.worst_rectangle
-    assert cb.h_volume(cb.FootruleUpperBound(0.0), lo, hi) == pytest.approx(report.worst_volume, abs=1e-15)
+    assert h_volume(cb.FootruleUpperBound(0.0), lo, hi) == pytest.approx(report.worst_volume, abs=1e-15)
 
 
 def test_check_quasicopula_passes_lower_footrule_envelope():
@@ -306,9 +293,9 @@ def test_counts_must_be_whole_numbers():
         (lambda n: cb.sample_conditional(cb.PI, 10, n).tobytes(), 3),
         (lambda n: cb.simpson_weights(n).tobytes(), 64),
         (lambda n: core.grid_nodes(n).tobytes(), 4),
-        (lambda n: cb.CheckerboardCopula.random(n, 0).masses.tobytes(), 4),
-        (lambda n: cb.CheckerboardCopula.random(4, n).masses.tobytes(), 3),
-        (lambda n: cb.GridFunction(n, np.zeros((5, 5))).n, 4),
+        (lambda n: CheckerboardCopula.random(n, 0).masses.tobytes(), 4),
+        (lambda n: CheckerboardCopula.random(4, n).masses.tobytes(), 3),
+        (lambda n: GridFunction(n, np.zeros((5, 5))).n, 4),
     ]
     for entry, n in entries:
         assert entry(float(n)) == entry(n)
@@ -316,7 +303,7 @@ def test_counts_must_be_whole_numbers():
             with pytest.raises(ValueError, match="whole number"):
                 entry(bad)
     assert type(cb.QuadratureConfig(64.0).n) is int
-    assert type(cb.GridFunction(4.0, np.zeros((5, 5))).n) is int
+    assert type(GridFunction(4.0, np.zeros((5, 5))).n) is int
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +345,7 @@ def test_identity_and_reversal_shuffles():
 
 
 def test_half_shift_shuffle_values():
-    z = cb.ShuffleOfMin(cb.HALF_SHIFT_SHUFFLE)
+    z = cb.ShuffleOfMin(HALF_SHIFT_SHUFFLE)
     assert z(0.25, 0.75) == pytest.approx(0.25, abs=1e-15)
     assert z(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
     report = cb.check_quasicopula(z, n=100, tol=1e-9)
@@ -366,13 +353,13 @@ def test_half_shift_shuffle_values():
 
 
 def test_sample_shuffle_support_and_determinism():
-    pts = cb.sample_shuffle(cb.HALF_SHIFT_SHUFFLE, 500, 42)
+    pts = cb.sample_shuffle(HALF_SHIFT_SHUFFLE, 500, 42)
     u, v = pts[:, 0], pts[:, 1]
     image = np.where(u < 0.5, u + 0.5, u - 0.5)
     assert np.abs(v - image).max() == 0.0
-    again = cb.sample_shuffle(cb.HALF_SHIFT_SHUFFLE, 500, 42)
+    again = cb.sample_shuffle(HALF_SHIFT_SHUFFLE, 500, 42)
     assert np.array_equal(pts, again)
-    other = cb.sample_shuffle(cb.HALF_SHIFT_SHUFFLE, 500, 43)
+    other = cb.sample_shuffle(HALF_SHIFT_SHUFFLE, 500, 43)
     assert not np.array_equal(pts, other)
 
 
@@ -386,7 +373,7 @@ def test_sample_shuffle_rejects_empty_draw():
 # ---------------------------------------------------------------------------
 
 def test_grid_function_margins_and_mass():
-    grid = cb.GridFunction.from_function(cb.PI, 50)
+    grid = GridFunction.from_function(cb.PI, 50)
     t = np.arange(51) / 50
     assert np.abs(grid.values[0, :]).max() <= 1e-12
     assert np.abs(grid.values[-1, :] - t).max() <= 1e-12
@@ -398,43 +385,43 @@ def test_grid_function_validation():
         with pytest.raises(ValueError, match=rf"n must be >= 1, got {n}"):
             core.grid_nodes(n)
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        cb.GridFunction.from_function(cb.PI, 0)
+        GridFunction.from_function(cb.PI, 0)
     with pytest.raises(ValueError, match="n must be >= 2, got 1"):
-        cb.GridFunction(1, np.zeros((2, 2)))
+        GridFunction(1, np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        cb.GridFunction(4, np.zeros((4, 4)))
+        GridFunction(4, np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        cb.GridFunction(2, np.full((3, 3), 2.0))
+        GridFunction(2, np.full((3, 3), 2.0))
     with pytest.raises(ValueError):
-        cb.GridFunction(2, np.full((3, 3), np.nan))
+        GridFunction(2, np.full((3, 3), np.nan))
 
 
 def test_checkerboard_is_a_copula():
-    board = cb.CheckerboardCopula.random(16, 7)
+    board = CheckerboardCopula.random(16, 7)
     report = cb.check_quasicopula(board, n=96, tol=1e-9)
     assert report.is_quasicopula and report.is_two_increasing
 
 
 def test_checkerboard_rejects_unbalanced_masses():
     with pytest.raises(cb.InvalidSpecError):
-        cb.CheckerboardCopula(np.ones((4, 4)))
+        CheckerboardCopula(np.ones((4, 4)))
     masses = np.full((2, 2), 0.25)
     masses[0, 0] = np.nan
     for bad in (np.full((2, 2), np.nan), masses, np.zeros((0, 0))):
         with pytest.raises(cb.InvalidSpecError):
-            cb.CheckerboardCopula(bad)
+            CheckerboardCopula(bad)
 
 
 def test_checkerboard_random_needs_a_cell():
     for n in (0, -1, -5):
         with pytest.raises(cb.InvalidSpecError, match=f"n must be >= 1, got {n}"):
-            cb.CheckerboardCopula.random(n, 0)
-    assert cb.CheckerboardCopula.random(1, 0).masses.tolist() == [[1.0]]
+            CheckerboardCopula.random(n, 0)
+    assert CheckerboardCopula.random(1, 0).masses.tolist() == [[1.0]]
 
 
 def test_checkerboard_random_is_deterministic():
-    one = cb.CheckerboardCopula.random(8, 11)
-    two = cb.CheckerboardCopula.random(8, 11)
+    one = CheckerboardCopula.random(8, 11)
+    two = CheckerboardCopula.random(8, 11)
     assert np.array_equal(one.masses, two.masses)
 
 

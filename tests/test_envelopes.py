@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import copulabounds as cb
 
 from boundary_pairs import vanish_params
+from oracles import all_pieces
 
 NODES = np.arange(129) / 128
 RNG_POINTS = np.random.default_rng(41).uniform(0.0, 1.0, (2, 20000))
@@ -24,7 +25,7 @@ def _selected_raw_values(cls, param):
     """Per point, the index of the first mask that holds (-1 for none) and
     that piece's value before the final [W, M] clamp."""
     u, v = POINTS
-    masks, values = cls(param)._pieces(u, v)
+    masks, values = all_pieces(cls(param), u, v)
     masks, values = np.stack(masks), np.stack(values)
     first = np.where(masks.any(axis=0), masks.argmax(axis=0), -1)
     raw = np.take_along_axis(values, np.maximum(first, 0)[None], axis=0)[0]
@@ -212,7 +213,7 @@ def test_no_region_outside_the_block(cls, k):
     t = np.concatenate([edge, np.arange(257) / 256])
     for u, v in ((t[:, None], t[None, :]), BLOCK_RANDOM):
         w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
-        masks, values = bound._pieces(u, v)
+        masks, values = all_pieces(bound, u, v)
         codes = np.select(masks, np.arange(1, len(masks) + 1), 0)
         np.testing.assert_array_equal(bound._region_codes(u, v), codes)
         # _pass is the block path of _value, also past M_FROM where _value
@@ -244,7 +245,7 @@ def test_block_index_forms():
             else:
                 assert tuple(type(i) for i in ix) == form
             w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
-            masks, values = bound._pieces(u, v)
+            masks, values = all_pieces(bound, u, v)
             codes = np.select(masks, np.arange(1, len(masks) + 1), 0)
             np.testing.assert_array_equal(bound._region_codes(u, v), codes)
             got, found = bound._pass(u, v, codes=True)

@@ -4,6 +4,7 @@ import pytest
 import copulabounds as cb
 
 from boundary_pairs import assert_boundary_pairs
+from oracles import HALF_SHIFT_SHUFFLE, h_volume
 
 GRID = np.arange(101) / 100
 U, V = GRID[:, None], GRID[None, :]
@@ -34,7 +35,7 @@ def test_upper_bound_centre_value_and_cap():
 
 
 def test_upper_bound_at_minus_half_is_the_half_shift_shuffle():
-    shuffle = cb.ShuffleOfMin(cb.HALF_SHIFT_SHUFFLE)
+    shuffle = cb.ShuffleOfMin(HALF_SHIFT_SHUFFLE)
     diff = np.abs(cb.footrule_upper_bound(-0.5, U, V) - shuffle(U, V))
     assert diff.max() <= 1e-12
     assert cb.footrule_upper_bound(-0.5, 0.25, 0.75) == pytest.approx(0.25, abs=1e-15)
@@ -188,19 +189,8 @@ def test_two_increasing_dichotomy():
         assert report.is_quasicopula and not report.is_two_increasing
         # the governing piece has a negative mixed derivative at the centre,
         # so a small centred rectangle already carries negative mass
-        centre = cb.h_volume(func, cb.UnitPoint(0.495, 0.495), cb.UnitPoint(0.505, 0.505))
+        centre = h_volume(func, cb.UnitPoint(0.495, 0.495), cb.UnitPoint(0.505, 0.505))
         assert centre < 0.0
-
-
-def test_hyperbola_halfwidth():
-    assert cb.hyperbola_halfwidth(-0.5) == 0.0
-    assert cb.hyperbola_halfwidth(1.0) == pytest.approx(0.5, abs=1e-15)
-    # the singular arcs meet the anti-diagonal at 1/2 +- halfwidth: there the
-    # arc condition u v = (1 - phi) / 6 holds with u + v = 1
-    phi = 0.1
-    ell = cb.hyperbola_halfwidth(phi)
-    u = 0.5 + ell
-    assert u * (1.0 - u) == pytest.approx((1.0 - phi) / 6.0, abs=1e-12)
 
 
 def test_inversion_sharpness_sample():

@@ -5,6 +5,7 @@ import copulabounds as cb
 from copulabounds.core import DERIV_STEP, PROBE_LEVELS
 
 from boundary_pairs import assert_boundary_pairs, vanish_params
+from oracles import all_pieces
 
 GRID = np.arange(101) / 100
 U, V = GRID[:, None], GRID[None, :]
@@ -38,7 +39,7 @@ def test_omega_region_examples():
     # closures at once; dispatch picks the first and the piece values agree
     code = cb.omega_region(-1.0, 0.5, 0.5)
     assert code != 0
-    masks, values = cb.GiniUpperBound(-1.0)._pieces(np.float64(0.5), np.float64(0.5))
+    masks, values = all_pieces(cb.GiniUpperBound(-1.0), np.float64(0.5), np.float64(0.5))
     selected = [float(values[k]) for k in range(9) if masks[k]]
     assert 5 in [k + 1 for k in range(9) if masks[k]]
     assert np.ptp(selected) <= 1e-12
@@ -47,7 +48,7 @@ def test_omega_region_examples():
 def _upper_reference(cls, k, u, v):
     """The all-pieces form: every piece on every node, the first mask wins."""
     w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
-    return np.clip(np.select(*cls(k)._pieces(u, v), m), w, m)
+    return np.clip(np.select(*all_pieces(cls(k), u, v), m), w, m)
 
 
 def _lower_reference(k, u, v):

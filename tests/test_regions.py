@@ -66,8 +66,9 @@ def test_range_curves_are_the_closed_forms_bit_for_bit():
 
 
 def test_parameters_validated():
-    with pytest.raises(cb.OutOfRangeError):
-        cb.beta_range_given_footrule(1.5)
+    for phi in (1.5, -0.9):
+        with pytest.raises(cb.OutOfRangeError):
+            cb.beta_range_given_footrule(phi)
     with pytest.raises(cb.OutOfRangeError):
         cb.gini_range_given_beta(-2.0)
 
@@ -92,7 +93,8 @@ def test_membership_consistency_between_forms():
     for _ in range(2000):
         beta = rng.uniform(-1, 1)
         gamma = rng.uniform(-1, 1)
-        direct = cb.pair_in_region(cb.MeasurePair("gini", gamma, beta))
+        lo_b, hi_b = cb.beta_range_given_gini(gamma)
+        direct = lo_b <= beta <= hi_b
         lo, hi = cb.gini_range_given_beta(beta)
         assert direct == (lo - 1e-12 <= gamma <= hi + 1e-12) or (
             # boundary points may flip under roundoff; accept either call there
@@ -101,32 +103,13 @@ def test_membership_consistency_between_forms():
 
 
 def test_pair_membership_examples():
-    assert cb.pair_in_region(cb.MeasurePair("footrule", 0.0, 0.0))
-    assert not cb.pair_in_region(cb.MeasurePair("footrule", 1.0, -1.0))
-    assert not cb.pair_in_region(cb.MeasurePair("gini", -1.0, 0.0))
-
-
-def test_pair_kind_checks():
-    for kind in ("blomqvist", "rho"):
-        with pytest.raises(cb.KindMismatchError):
-            cb.MeasurePair(kind, 0.2, 0.1)
-    with pytest.raises(cb.OutOfRangeError):
-        cb.MeasurePair("footrule", -0.9, 0.0)
-
-
-def test_slack_admits_noisy_boundary_pairs():
-    lo, hi = cb.beta_range_given_footrule(0.1)
-    noisy = cb.MeasurePair("footrule", 0.1, hi + 2e-3)
-    assert not cb.pair_in_region(noisy)
-    assert cb.pair_in_region(noisy, slack=5e-3)
-
-
-def test_slack_must_be_nonnegative_and_finite():
-    inside = cb.MeasurePair("footrule", 0.1, 0.0)
-    for slack in (np.nan, -5.0, -1e-12, np.inf):
-        with pytest.raises(ValueError, match="slack"):
-            cb.pair_in_region(inside, slack=slack)
-    assert cb.pair_in_region(inside, slack=0.0)
+    # (footrule 0, beta 0) lies in its region; (footrule 1, beta -1) and
+    # (gamma -1, beta 0) do not
+    for beta_range, k, beta, inside in ((cb.beta_range_given_footrule, 0.0, 0.0, True),
+                                        (cb.beta_range_given_footrule, 1.0, -1.0, False),
+                                        (cb.beta_range_given_gini, -1.0, 0.0, False)):
+        lo, hi = beta_range(k)
+        assert (lo <= beta <= hi) == inside
 
 
 def test_ranges_match_envelope_centre_values():
