@@ -7,7 +7,6 @@ and asserts at its stated tolerance.
 import time
 
 import numpy as np
-import pytest
 
 import copulabounds as cb
 
@@ -177,10 +176,11 @@ def test_criterion_07_symmetry_suite():
     rng = np.random.default_rng(107)
     a, b = rng.random(10000), rng.random(10000)
     worst = 0.0
-    sweeps = [(cb.footrule_lower_bound, np.linspace(-0.5, 1.0, 25)),
-              (cb.footrule_upper_bound, np.linspace(-0.5, 1.0, 25)),
-              (cb.gini_lower_bound, np.linspace(-1.0, 1.0, 25)),
-              (cb.gini_upper_bound, np.linspace(-1.0, 1.0, 25))]
+    # the 25-point grids, plus parameters between their nodes
+    phis = np.concatenate([np.linspace(-0.5, 1.0, 25), [-0.4, -0.1, 0.12, 0.6]])
+    gammas = np.concatenate([np.linspace(-1.0, 1.0, 25), [-0.8, -0.3, 0.15, 0.45, 0.8]])
+    sweeps = [(cb.footrule_lower_bound, phis), (cb.footrule_upper_bound, phis),
+              (cb.gini_lower_bound, gammas), (cb.gini_upper_bound, gammas)]
     for fn, params in sweeps:
         for p in params:
             worst = max(worst, float(np.abs(fn(p, a, b) - fn(p, b, a)).max()))

@@ -1,7 +1,25 @@
-"""Properties shared by the footrule and gamma envelopes: the raw piece
-values respect the Frechet band where they are selected, the envelopes
-bound every extremal copula with the same measure value, and extremal
-copulas attain them pointwise."""
+"""Properties shared by the footrule and gamma envelopes, each tested once
+for both measures:
+
+- an out-of-range parameter is rejected;
+- which upper regions are live on a 601-node grid, and the centre region
+  that lasts a few floats past 1/4 (footrule) and 1/2 (gamma);
+- transposing a point maps each region code to its mirror;
+- the bounds are ordered and lie in [W, M];
+- the upper envelopes are 1-Lipschitz across their frontiers;
+- the raw piece values respect the Frechet band where they are selected;
+- the envelopes bound every extremal copula with the same measure value,
+  and extremal copulas attain them pointwise;
+- scalar calls, the module functions and the region codes agree with the
+  class calls; no region reaches outside the block, and each vanishes at
+  its declared parameter; values and codes are pinned by a digest;
+- the declared quasi-copula intervals agree with the grid audit.
+
+Endpoint identities, transpose and radial symmetry, inversion sharpness and
+the monotone parameter sweeps are the acceptance criteria's
+(`test_acceptance.py`); what belongs to one measure is in `test_footrule.py`
+and `test_gini.py`, which also compares the gathered pieces of both upper
+envelopes with the all-pieces form."""
 
 import functools
 import hashlib
@@ -19,42 +37,119 @@ NODES = np.arange(129) / 128
 RNG_POINTS = np.random.default_rng(41).uniform(0.0, 1.0, (2, 20000))
 POINTS = (np.concatenate([np.repeat(NODES, NODES.size), RNG_POINTS[0]]),
           np.concatenate([np.tile(NODES, NODES.size), RNG_POINTS[1]]))
+GRID = np.arange(101) / 100
+U, V = GRID[:, None], GRID[None, :]
 
 
-def _selected_raw_values(cls, param):
-    """Per point, the index of the first mask that holds (-1 for none) and
-    that piece's value before the final [W, M] clamp."""
-    u, v = POINTS
-    masks, values = all_pieces(cls(param), u, v)
-    masks, values = np.stack(masks), np.stack(values)
-    first = np.where(masks.any(axis=0), masks.argmax(axis=0), -1)
-    raw = np.take_along_axis(values, np.maximum(first, 0)[None], axis=0)[0]
-    return first, raw
+@pytest.mark.parametrize("bound,k,cls,k_cls", [
+    (cb.footrule_lower_bound, -0.6, cb.FootruleUpperBound, 1.2),
+    (cb.gini_upper_bound, 1.1, cb.GiniLowerBound, -1.2),
+], ids=["footrule", "gini"])
+def test_parameter_range_enforced(bound, k, cls, k_cls):
+    with pytest.raises(cb.OutOfRangeError):
+        bound(k, 0.5, 0.5)
+    with pytest.raises(cb.OutOfRangeError):
+        cls(k_cls)
 
 
-def _assert_clamp_honest(cls, params, n_pieces):
+@pytest.mark.parametrize("region,present", [
+    (cb.delta_region, {-0.45: {1, 2, 3, 4, 5, 6, 7}, -0.30: {2, 3, 4, 5, 6}, -0.15: {4},
+                       0.30: set()}),
+    (cb.omega_region, {-0.80: {1, 2, 3, 4, 5, 6, 7, 8, 9}, -0.70: {2, 3, 4, 5, 6, 7, 8},
+                       -0.40: {3, 4, 5, 6, 7}, -0.25: {5}, 0.60: set()}),
+], ids=["footrule", "gini"])
+def test_live_regions_on_the_601_node_grid(region, present):
+    t = np.arange(601) / 600
+    for k, codes in present.items():
+        assert set(np.unique(region(k, t[:, None], t[None, :]))) - {0} == codes, k
+
+
+@pytest.mark.parametrize("region,upper,code,ks", [
+    (cb.delta_region, cb.footrule_upper_bound, 4, (0.25, 0.25000000000000006)),
+    (cb.omega_region, cb.gini_upper_bound, 5, (0.5, 0.5000000000000001, 0.5000000000000002)),
+], ids=["footrule", "gini"])
+def test_centre_region_past_its_vanishing_point(region, upper, code, ks):
+    # the centre keeps D4 one float past 1/4, and O5 two floats past 1/2, by
+    # rounding; the value is M there
+    t = np.arange(201) / 200
+    A, B = t[:, None], t[None, :]
+    centre = (A == 0.5) & (B == 0.5)
+    assert all(np.nextafter(k, 1.0) == up for k, up in zip(ks, ks[1:]))
+    for k in ks:
+        np.testing.assert_array_equal(region(k, A, B), np.where(centre, code, 0))
+        assert upper(k, 0.5, 0.5) == 0.5
+    assert np.all(region(np.nextafter(ks[-1], 1.0), A, B) == 0)
+
+
+@pytest.mark.parametrize("region,swap,seed,ks", [
+    (cb.delta_region, [0, 7, 6, 5, 4, 3, 2, 1], 53, (-0.5, -0.45, -0.35, -0.2, 0.0, 0.2)),
+    (cb.omega_region, [0, 9, 8, 7, 6, 5, 4, 3, 2, 1], 47, (-0.9, -0.6, -0.35, 0.0, 0.4)),
+], ids=["footrule", "gini"])
+def test_transpose_index_map(region, swap, seed, ks):
+    rng = np.random.default_rng(seed)
+    for k in ks:
+        a, b = rng.random(20000), rng.random(20000)
+        assert np.array_equal(np.array(swap)[region(k, a, b)], region(k, b, a))
+
+
+@pytest.mark.parametrize("lower,upper,k_range", [
+    (cb.footrule_lower_bound, cb.footrule_upper_bound, (-0.5, 1.0)),
+    (cb.gini_lower_bound, cb.gini_upper_bound, (-1.0, 1.0)),
+], ids=["footrule", "gini"])
+def test_bounds_are_ordered_and_sandwiched(lower, upper, k_range):
+    for k in np.linspace(*k_range, 25):
+        lo = lower(k, U, V)
+        hi = upper(k, U, V)
+        assert (lo - cb.W(U, V)).min() >= -1e-12
+        assert (hi - lo).min() >= -1e-12
+        assert (cb.M(U, V) - hi).min() >= -1e-12
+
+
+@pytest.mark.parametrize("upper,seed,ks,axis", [
+    (cb.footrule_upper_bound, 41, (-0.4, -0.2, 0.0, 0.2), 0),
+    (cb.gini_upper_bound, 67, (-0.9, -0.5, -0.1, 0.3), 1),
+], ids=["footrule", "gini"])
+def test_upper_bound_lipschitz_across_frontiers(upper, seed, ks, axis):
+    # a step of 1e-6 in one coordinate (u for the footrule, v for gamma)
+    # moves the value by at most the step
+    rng = np.random.default_rng(seed)
+    for k in ks:
+        point = [rng.random(20000), rng.random(20000)]
+        base = upper(k, *point)
+        moved = list(point)
+        moved[axis] = np.clip(point[axis] + 1e-6, 0.0, 1.0)
+        jump = np.abs(upper(k, *moved) - base)
+        assert (jump - (moved[axis] - point[axis])).max() <= 1e-12
+
+
+CLAMP_CASES = [
+    pytest.param(cb.FootruleUpperBound,
+                 np.concatenate([np.linspace(-0.5, 0.25, 16),
+                                 np.random.default_rng(5).uniform(-0.5, 0.25, 8)]),
+                 id="footrule"),
+    pytest.param(cb.GiniUpperBound,
+                 np.concatenate([np.linspace(-1.0, 0.5, 16)[1:],
+                                 np.random.default_rng(6).uniform(-1.0, 0.5, 8)]),
+                 id="gini"),
+]
+
+
+@pytest.mark.parametrize("cls,params", CLAMP_CASES)
+def test_pieces_need_no_clamp(cls, params):
+    # per point, the index of the first mask that holds (-1 for none) and
+    # that piece's value before the final [W, M] clamp
     u, v = POINTS
     w, m = np.maximum(u + v - 1.0, 0.0), np.minimum(u, v)
     seen = set()
     for param in params:
-        first, raw = _selected_raw_values(cls, param)
+        masks, values = map(np.stack, all_pieces(cls(param), u, v))
+        first = np.where(masks.any(axis=0), masks.argmax(axis=0), -1)
+        raw = np.take_along_axis(values, np.maximum(first, 0)[None], axis=0)[0]
         sel = first >= 0
         excess = np.maximum(w - raw, raw - m)[sel]
         assert excess.size == 0 or excess.max() <= 1e-12, (param, float(excess.max()))
         seen.update(first[sel].tolist())
-    assert seen == set(range(n_pieces))
-
-
-def test_delta_pieces_need_no_clamp():
-    params = np.concatenate([np.linspace(-0.5, 0.25, 16),
-                             np.random.default_rng(5).uniform(-0.5, 0.25, 8)])
-    _assert_clamp_honest(cb.FootruleUpperBound, params, 7)
-
-
-def test_omega_pieces_need_no_clamp():
-    params = np.concatenate([np.linspace(-1.0, 0.5, 16)[1:],
-                             np.random.default_rng(6).uniform(-1.0, 0.5, 8)])
-    _assert_clamp_honest(cb.GiniUpperBound, params, 9)
+    assert seen == set(range(len(cls.LABELS) - 1))
 
 
 # The measure of an extremal copula is exact only up to its rounding, and
@@ -63,8 +158,6 @@ def test_omega_pieces_need_no_clamp():
 # upper footrule envelope by 2e-10. Envelopes are monotone in the parameter,
 # so each bound is taken a few ulps further out instead.
 K_SLACK = 1e-15
-GRID = np.arange(101) / 100
-U, V = GRID[:, None], GRID[None, :]
 ENVELOPES = (
     (cb.f_lower, cb.f_upper, cb.FootruleLowerBound, cb.FootruleUpperBound),
     (cb.g_lower, cb.g_upper, cb.GiniLowerBound, cb.GiniUpperBound),

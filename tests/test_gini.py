@@ -11,25 +11,9 @@ GRID = np.arange(101) / 100
 U, V = GRID[:, None], GRID[None, :]
 
 
-def test_parameter_range_enforced():
-    with pytest.raises(cb.OutOfRangeError):
-        cb.gini_upper_bound(1.1, 0.5, 0.5)
-    with pytest.raises(cb.OutOfRangeError):
-        cb.GiniLowerBound(-1.2)
-
-
 def test_centre_values():
     assert cb.gini_upper_bound(0.0, 0.5, 0.5) == pytest.approx(0.408248, abs=1e-6)
     assert cb.gini_lower_bound(0.0, 0.5, 0.5) == pytest.approx(0.091752, abs=1e-6)
-
-
-def test_endpoint_identities_exact():
-    assert np.array_equal(cb.gini_upper_bound(-1.0, U, V), cb.W(U, V))
-    for g in (0.5, 0.75, 1.0):
-        assert np.array_equal(cb.gini_upper_bound(g, U, V), cb.M(U, V))
-    assert np.array_equal(cb.gini_lower_bound(1.0, U, V), cb.M(U, V))
-    for g in (-0.5, -0.75, -1.0):
-        assert np.array_equal(cb.gini_lower_bound(g, U, V), cb.W(U, V))
 
 
 def test_omega_region_examples():
@@ -121,61 +105,6 @@ def test_gathered_pieces_cover_every_code():
         assert seen == set(range(len(cls.LABELS))), cls.__name__
 
 
-def test_omega_region_dynamics():
-    t = np.arange(601) / 600
-    A, B = t[:, None], t[None, :]
-
-    def present(g):
-        return set(np.unique(cb.omega_region(g, A, B))) - {0}
-
-    assert present(-0.80) == {1, 2, 3, 4, 5, 6, 7, 8, 9}
-    assert present(-0.70) == {2, 3, 4, 5, 6, 7, 8}
-    assert present(-0.40) == {3, 4, 5, 6, 7}
-    assert present(-0.25) == {5}
-    assert present(0.60) == set()
-
-
-def test_omega_region_past_the_half():
-    # the centre keeps O5 two floats past 1/2 by rounding; the value is M there
-    t = np.arange(201) / 200
-    A, B = t[:, None], t[None, :]
-    centre = (A == 0.5) & (B == 0.5)
-    one_up = np.nextafter(0.5, 1.0)
-    two_up = np.nextafter(one_up, 1.0)
-    assert (one_up, two_up) == (0.5000000000000001, 0.5000000000000002)
-    for g in (0.5, one_up, two_up):
-        np.testing.assert_array_equal(cb.omega_region(g, A, B), np.where(centre, 5, 0))
-        assert cb.gini_upper_bound(g, 0.5, 0.5) == 0.5
-    assert np.all(cb.omega_region(np.nextafter(two_up, 1.0), A, B) == 0)
-
-
-def test_omega_transpose_index_map():
-    rng = np.random.default_rng(47)
-    swap = np.array([0, 9, 8, 7, 6, 5, 4, 3, 2, 1])
-    for g in (-0.9, -0.6, -0.35, 0.0, 0.4):
-        a, b = rng.random(20000), rng.random(20000)
-        assert np.array_equal(swap[cb.omega_region(g, a, b)], cb.omega_region(g, b, a))
-
-
-def test_bounds_ordered_and_sandwiched():
-    for g in np.linspace(-1.0, 1.0, 25):
-        lo = cb.gini_lower_bound(g, U, V)
-        hi = cb.gini_upper_bound(g, U, V)
-        assert (lo - cb.W(U, V)).min() >= -1e-12
-        assert (hi - lo).min() >= -1e-12
-        assert (cb.M(U, V) - hi).min() >= -1e-12
-
-
-def test_bounds_symmetry_and_radial_symmetry():
-    rng = np.random.default_rng(53)
-    a, b = rng.random(5000), rng.random(5000)
-    for g in (-0.8, -0.3, 0.15, 0.45, 0.8):
-        for fn in (cb.gini_lower_bound, cb.gini_upper_bound):
-            assert np.abs(fn(g, a, b) - fn(g, b, a)).max() <= 1e-12
-            radial = a + b - 1.0 + fn(g, 1.0 - a, 1.0 - b)
-            assert np.abs(fn(g, a, b) - radial).max() <= 1e-12
-
-
 def test_reflection_forms_agree():
     rng = np.random.default_rng(59)
     a, b = rng.random(5000), rng.random(5000)
@@ -183,17 +112,6 @@ def test_reflection_forms_agree():
         first = a - cb.gini_upper_bound(-g, a, 1.0 - b)
         second = b - cb.gini_upper_bound(-g, 1.0 - a, b)
         assert np.abs(first - second).max() <= 1e-12
-
-
-def test_bounds_monotone_in_parameter():
-    prev_lo = prev_hi = None
-    for g in np.linspace(-1.0, 1.0, 25):
-        lo = cb.gini_lower_bound(g, U, V)
-        hi = cb.gini_upper_bound(g, U, V)
-        if prev_lo is not None:
-            assert (lo - prev_lo).min() >= -1e-12
-            assert (hi - prev_hi).min() >= -1e-12
-        prev_lo, prev_hi = lo, hi
 
 
 def test_adjacent_piece_expressions_agree_on_boundaries():
@@ -226,16 +144,6 @@ def test_adjacent_piece_expressions_agree_on_boundaries():
             (2, 0, a, 0.5 * (1.0 + 3.0 * a - np.sqrt(np.maximum(5.0 * a * a - 2.0 * a + t, 0.0))), 1),
         ]
         assert_boundary_pairs(cb.GiniUpperBound, gamma, curves, 800)
-
-
-def test_upper_bound_lipschitz_across_frontiers():
-    rng = np.random.default_rng(67)
-    for g in (-0.9, -0.5, -0.1, 0.3):
-        a, b = rng.random(20000), rng.random(20000)
-        base = cb.gini_upper_bound(g, a, b)
-        b2 = np.clip(b + 1e-6, 0.0, 1.0)
-        jump = np.abs(cb.gini_upper_bound(g, a, b2) - base)
-        assert (jump - (b2 - b)).max() <= 1e-12
 
 
 def test_gini_of_bounds():
@@ -273,14 +181,3 @@ def test_negative_mass_sits_near_the_collapsed_corner():
     dist = np.hypot(lo.u - corner, lo.v - corner)
     mirrored = np.hypot(hi.u - (1 - corner), hi.v - (1 - corner))
     assert min(dist, mirrored) <= 0.25
-
-
-def test_inversion_sharpness_sample():
-    rng = np.random.default_rng(71)
-    for g in rng.uniform(-1.0, 0.5, 20):
-        a, b = rng.random(400), rng.random(400)
-        hi = cb.gini_upper_bound(g, a, b)
-        mask = hi < np.minimum(a, b) - 1e-9
-        if mask.any():
-            back = cb.g_lower(a[mask], b[mask], hi[mask])
-            assert np.abs(back - g).max() <= 1e-9

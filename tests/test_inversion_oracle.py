@@ -64,13 +64,15 @@ def test_envelopes_invert_the_extremal_measures(cls, measure, upper, ks):
     assert seen == set(range(len(cls.LABELS)))
 
 
-@pytest.mark.parametrize("beta_range,lower,upper,measure_range", [
+# the 61-point grid and the 0.05 grid, whose nodes can differ from it by an ulp
+@pytest.mark.parametrize("beta_range,lower,upper,measure_range,coarse", [
     (cb.beta_range_given_footrule, cb.FootruleLowerBound, cb.FootruleUpperBound,
-     cb.FOOTRULE_RANGE),
-    (cb.beta_range_given_gini, cb.GiniLowerBound, cb.GiniUpperBound, cb.GINI_RANGE),
+     cb.FOOTRULE_RANGE, 31),
+    (cb.beta_range_given_gini, cb.GiniLowerBound, cb.GiniUpperBound, cb.GINI_RANGE, 41),
 ], ids=["footrule", "gini"])
-def test_beta_ranges_are_the_envelopes_at_the_centre(beta_range, lower, upper, measure_range):
-    for k in np.linspace(*measure_range, 61):
+def test_beta_ranges_are_the_envelopes_at_the_centre(beta_range, lower, upper, measure_range,
+                                                     coarse):
+    for k in np.union1d(np.linspace(*measure_range, 61), np.linspace(*measure_range, coarse)):
         lo, hi = beta_range(k)
         assert abs(lo - (4.0 * lower(k)(0.5, 0.5) - 1.0)) <= TOL, k
         assert abs(hi - (4.0 * upper(k)(0.5, 0.5) - 1.0)) <= TOL, k

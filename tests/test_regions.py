@@ -110,14 +110,3 @@ def test_pair_membership_examples():
                                         (cb.beta_range_given_gini, -1.0, 0.0, False)):
         lo, hi = beta_range(k)
         assert (lo <= beta <= hi) == inside
-
-
-def test_ranges_match_envelope_centre_values():
-    for phi in np.linspace(-0.5, 1.0, 31):
-        lo, hi = cb.beta_range_given_footrule(phi)
-        assert lo == pytest.approx(4.0 * cb.footrule_lower_bound(phi, 0.5, 0.5) - 1.0, abs=1e-12)
-        assert hi == pytest.approx(4.0 * cb.footrule_upper_bound(phi, 0.5, 0.5) - 1.0, abs=1e-12)
-    for gamma in np.linspace(-1.0, 1.0, 41):
-        lo, hi = cb.beta_range_given_gini(gamma)
-        assert lo == pytest.approx(4.0 * cb.gini_lower_bound(gamma, 0.5, 0.5) - 1.0, abs=1e-12)
-        assert hi == pytest.approx(4.0 * cb.gini_upper_bound(gamma, 0.5, 0.5) - 1.0, abs=1e-12)
