@@ -33,10 +33,6 @@ class SpecParseError(UsageError):
     """A copula spec string or shuffle file could not be parsed."""
 
 
-class NotACopulaError(ValueError):
-    """The spec is an envelope inside its ``QUASI`` interval; sampling is refused."""
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError instead of printing usage and exiting; subparsers
     are built from the same class."""
@@ -214,8 +210,8 @@ def cmd_sample(args) -> CsvTable:
     seed = _pick(args.seed_pos, args.seed_flag, 0, "seed")
     if isinstance(func, core.Envelope) and not func.is_copula:
         lo, hi = func.QUASI
-        raise NotACopulaError(f"spec {args.spec!r} is not a copula (a proper quasi-copula "
-                              f"for k in ({lo:g}, {hi:g})); refusing to sample")
+        raise core.OutOfRangeError(f"spec {args.spec!r} is not a copula (a proper quasi-copula "
+                                   f"for k in ({lo:g}, {hi:g})); refusing to sample")
     pts = _draw(func, args.count, seed)
     return CsvTable(["u", "v"], [pts[:, 0], pts[:, 1]])
 

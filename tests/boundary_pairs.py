@@ -37,16 +37,11 @@ def assert_boundary_pairs(cls, param, curves, min_points):
     assert total >= min_points
 
 
-# the parameters from which the regions of the upper envelopes are empty
-VANISH_AT = {"f-upper": (-1.0 / 3.0, -0.2, 0.25),
-             "g-upper": (-0.75, -4.0 / 9.0, -4.0 / 13.0, 0.5)}
-
-
 def vanish_params(cls, skip=()):
-    """Each parameter of ``VANISH_AT``, it plus the margin 1e-9 of the live
-    regions, and the float on each side of both; none of ``skip``."""
+    """Each distinct parameter of ``cls.VANISH``, it plus the margin 1e-9 of
+    the live regions, and the float on each side of both; none of ``skip``."""
     out = []
-    for t in VANISH_AT[cls.NAME]:
+    for t in sorted(set(cls.VANISH)):
         for k in (t, t + 1e-9):
             out += [np.nextafter(k, -2.0), k, np.nextafter(k, 2.0)]
     return tuple(k for k in out if k not in skip)

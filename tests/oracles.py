@@ -15,14 +15,13 @@ import numpy as np
 from copulabounds.core import (UNIT_SLACK, BivariateFunction, InvalidSpecError, ShuffleSpec,
                                UnitPoint, _finite, _whole, grid_nodes)
 
-TRANSFORM_KINDS = ("transpose", "sigma1", "sigma2", "survival")
+TRANSFORM_KINDS = ("sigma1", "survival")
 
 
 class TransformedFunction(BivariateFunction):
     """Reflection of a unit-square function.
 
-    transpose: C(v, u); sigma1: v - C(1-u, v); sigma2: u - C(u, 1-v);
-    survival: u + v - 1 + C(1-u, 1-v).
+    sigma1: v - C(1-u, v); survival: u + v - 1 + C(1-u, 1-v).
     """
 
     def __init__(self, base, kind):
@@ -34,12 +33,8 @@ class TransformedFunction(BivariateFunction):
 
     def _value(self, u, v):
         base = self.base._value
-        if self.kind == "transpose":
-            return base(v, u)
         if self.kind == "sigma1":
             return v - base(1.0 - u, v)
-        if self.kind == "sigma2":
-            return u - base(u, 1.0 - v)
         return u + v - 1.0 + base(1.0 - u, 1.0 - v)
 
 

@@ -81,13 +81,6 @@ def test_measure_identities_on_checkerboards():
         assert gam == pytest.approx(qm + qw, abs=3e-4), i
 
 
-def test_gamma_is_scaled_footrule_antisymmetrisation():
-    for board in boards(5, start=40):
-        phi = cb.spearman_footrule(board, Q2048)
-        phi_r = cb.spearman_footrule(TransformedFunction(board, "sigma1"), Q2048)
-        assert cb.gini_gamma(board, Q2048) == pytest.approx((2.0 / 3.0) * (phi - phi_r), abs=1e-10)
-
-
 def test_footrule_survival_invariance():
     for board in boards(4, start=80):
         hat = TransformedFunction(board, "survival")
@@ -134,20 +127,6 @@ def test_q_closed_forms_require_matching_kind():
         cb.q_m_extremal_upper(spec)
     with pytest.raises(cb.OutOfRangeError):
         cb.q_w_extremal_lower(cb.ExtremalSpec(0.3, 0.4, 0.1, "upper"))
-
-
-def test_q_closed_forms_match_stieltjes_oracle():
-    rng = np.random.default_rng(17)
-    for _ in range(60):
-        a, b = rng.uniform(0.05, 0.95, 2)
-        c = rng.uniform(0, min(a, b, 1 - a, 1 - b))
-        lo = cb.ExtremalSpec(a, b, c, "lower")
-        up = cb.ExtremalSpec(a, b, c, "upper")
-        glo = GridFunction.from_function(cb.ExtremalCopula(lo), 400)
-        gup = GridFunction.from_function(cb.ExtremalCopula(up), 400)
-        assert cb.q_m_extremal_lower(lo) == pytest.approx(q_concordance(glo, cb.M), abs=5e-3)
-        assert cb.q_m_extremal_upper(up) == pytest.approx(q_concordance(gup, cb.M), abs=5e-3)
-        assert cb.q_w_extremal_lower(lo) == pytest.approx(q_concordance(glo, cb.W), abs=5e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -115,17 +115,6 @@ def test_sigma1_of_m_is_w():
     assert np.abs(refl(U, V) - cb.W(U, V)).max() <= 1e-12
 
 
-def test_transpose_of_pi():
-    assert TransformedFunction(cb.PI, "transpose")(0.2, 0.7) == pytest.approx(0.14, abs=1e-15)
-
-
-def test_sigma1_then_sigma2_equals_survival():
-    for func in (cb.PI, cb.M, CheckerboardCopula.random(8, 3)):
-        chained = TransformedFunction(TransformedFunction(func, "sigma1"), "sigma2")
-        hat = TransformedFunction(func, "survival")
-        assert np.abs(chained(U, V) - hat(U, V)).max() <= 1e-12
-
-
 def test_transform_rejects_unknown_kind():
     with pytest.raises(ValueError):
         TransformedFunction(cb.M, "rotate")
@@ -249,11 +238,6 @@ def test_check_quasicopula_flags_upper_footrule_envelope():
     # the located rectangle really carries the reported negative mass
     lo, hi = report.worst_rectangle
     assert h_volume(cb.FootruleUpperBound(0.0), lo, hi) == pytest.approx(report.worst_volume, abs=1e-15)
-
-
-def test_check_quasicopula_passes_lower_footrule_envelope():
-    report = cb.check_quasicopula(cb.FootruleLowerBound(0.0), n=200, tol=1e-9)
-    assert report.is_two_increasing
 
 
 class _BrokenMargins(cb.BivariateFunction):

@@ -432,7 +432,8 @@ def test_declared_quasi_interval_agrees_with_the_audit(cls):
     ks = ks[(np.abs(ks - lo) >= 0.02) & (np.abs(ks - hi) >= 0.02)]
     for k in ks.tolist():
         func = cls(k)
-        assert func.is_copula == cb.check_quasicopula(func, n=200).is_two_increasing, k
+        report = cb.check_quasicopula(func, n=200)
+        assert report.is_quasicopula and func.is_copula == report.is_two_increasing, k
     # the ends themselves are copulas, and -0.0 where an end is 0
     for k in (lo, hi, -lo, -hi):
         if k in (lo, hi):

