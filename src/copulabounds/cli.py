@@ -29,10 +29,6 @@ class UsageError(ValueError):
     """The arguments are malformed or contradict each other."""
 
 
-class SpecParseError(UsageError):
-    """A copula spec string or shuffle file could not be parsed."""
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError instead of printing usage and exiting; subparsers
     are built from the same class."""
@@ -78,20 +74,20 @@ def _load_shuffle(path: str) -> core.ShuffleSpec:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
     except (OSError, UnicodeDecodeError) as exc:
-        raise SpecParseError(f"cannot read shuffle file {path}: {exc}") from exc
+        raise UsageError(f"cannot read shuffle file {path}: {exc}") from exc
     pieces = []
     for ln in lines:
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split(",")
         if len(parts) != 4:
-            raise SpecParseError(f"bad shuffle line {ln!r}: expected 4 fields")
+            raise UsageError(f"bad shuffle line {ln!r}: expected 4 fields")
         try:
             pieces.append((float(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])))
         except ValueError as exc:
-            raise SpecParseError(f"bad shuffle line {ln!r}: {exc}") from exc
+            raise UsageError(f"bad shuffle line {ln!r}: {exc}") from exc
     if not pieces:
-        raise SpecParseError(f"shuffle file {path} has no pieces")
+        raise UsageError(f"shuffle file {path} has no pieces")
     # a NaN start passes the contiguity test below and never becomes a cut
     if any(np.isnan(p[0]) for p in pieces):
         raise core.InvalidSpecError("shuffle cuts must not be NaN")
@@ -99,7 +95,7 @@ def _load_shuffle(path: str) -> core.ShuffleSpec:
     cuts = [pieces[0][0]]
     for start, end, _, _ in pieces:
         if abs(start - cuts[-1]) > 1e-9:
-            raise SpecParseError("shuffle pieces must tile [0, 1] contiguously")
+            raise UsageError("shuffle pieces must tile [0, 1] contiguously")
         cuts.append(end)
     return core.ShuffleSpec(tuple(cuts),
                             tuple(p[2] for p in pieces),
@@ -116,24 +112,24 @@ def parse_copula_spec(text: str) -> core.BivariateFunction:
         return _FIXED[text]
     name, sep, rest = text.partition(":")
     if not sep:
-        raise SpecParseError(f"unknown copula spec {text!r}")
+        raise UsageError(f"unknown copula spec {text!r}")
     if name == "shuffle":
         return core.ShuffleOfMin(_load_shuffle(rest))
     if name == "extremal":
         parts = rest.split(",")
         if len(parts) != 4:
-            raise SpecParseError(f"extremal spec needs kind,a,b,c, got {rest!r}")
+            raise UsageError(f"extremal spec needs kind,a,b,c, got {rest!r}")
         try:
             a, b, c = (float(x) for x in parts[1:])
         except ValueError as exc:
-            raise SpecParseError(f"bad extremal parameters {rest!r}") from exc
+            raise UsageError(f"bad extremal parameters {rest!r}") from exc
         return core.ExtremalCopula(core.ExtremalSpec(a, b, c, parts[0]))
     try:
         param = float(rest)
     except ValueError as exc:
-        raise SpecParseError(f"bad parameter in spec {text!r}") from exc
+        raise UsageError(f"bad parameter in spec {text!r}") from exc
     if name not in effectiveness.ENVELOPES:
-        raise SpecParseError(f"unknown copula spec {text!r}")
+        raise UsageError(f"unknown copula spec {text!r}")
     return effectiveness.ENVELOPES[name](param)
 
 
@@ -154,15 +150,14 @@ def cmd_eval(args) -> CsvTable:
 
 
 def cmd_grid(args) -> CsvTable:
-    if args.n < 2:
-        raise core.OutOfRangeError("grid resolution must be >= 2")
+    n = core._whole(args.n, "grid resolution", 2)
     func = effectiveness.ENVELOPES[args.bound](args.param)
-    t = core.grid_nodes(args.n)
+    t = core.grid_nodes(n)
     # on the broadcast grid each per-axis term is computed once per node; the
     # operations are elementwise, so values equal those of the flat columns
     values, codes = func._evaluate(t[:, None], t[None, :], codes=True)
     return CsvTable(["a", "b", "value", "region"],
-                    [np.repeat(t, args.n + 1), np.tile(t, args.n + 1), values.ravel(),
+                    [np.repeat(t, n + 1), np.tile(t, n + 1), values.ravel(),
                      np.asarray(func.LABELS, dtype=object)[codes.ravel()]])
 
 
@@ -205,14 +200,9 @@ def _draw(func, count: int, seed: int) -> np.ndarray:
 
 def cmd_sample(args) -> CsvTable:
     func = parse_copula_spec(args.spec)
-    if args.count < 1:
-        raise core.OutOfRangeError("count must be >= 1")
+    count = core._whole(args.count, "count", 1)
     seed = _pick(args.seed_pos, args.seed_flag, 0, "seed")
-    if isinstance(func, core.Envelope) and not func.is_copula:
-        lo, hi = func.QUASI
-        raise core.OutOfRangeError(f"spec {args.spec!r} is not a copula (a proper quasi-copula "
-                                   f"for k in ({lo:g}, {hi:g})); refusing to sample")
-    pts = _draw(func, args.count, seed)
+    pts = _draw(func, count, seed)
     return CsvTable(["u", "v"], [pts[:, 0], pts[:, 1]])
 
 

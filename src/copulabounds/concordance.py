@@ -38,9 +38,7 @@ class QuadratureConfig:
     n: int = 2048
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _whole(self.n, "panel count"))
-        if self.n < 2 or self.n % 2:
-            raise ValueError("panel count must be even and >= 2")
+        object.__setattr__(self, "n", _whole(self.n, "panel count", 2, even=True))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -48,9 +46,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 def simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights over n even panels of [0, 1], n+1 nodes."""
-    n = _whole(n, "panel count")
-    if n < 2 or n % 2:
-        raise ValueError("panel count must be even and >= 2")
+    n = _whole(n, "panel count", 2, even=True)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

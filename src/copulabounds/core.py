@@ -75,23 +75,24 @@ def _check_range(value, lo, hi, what) -> float:
     return min(max(value, lo), hi)
 
 
-def _whole(x, what) -> int:
+def _whole(x, what, least=None, even=False) -> int:
     """``x`` as an int; anything that is not a whole number (a fraction, an
-    infinity, NaN, a string) raises ValueError instead of being truncated."""
+    infinity, NaN, a string) raises ValueError instead of being truncated,
+    and so does a number below ``least`` or, when ``even``, an odd one."""
     try:
         n = int(x)
     except (OverflowError, TypeError, ValueError):
         n = None
     if n is None or n != x:
         raise ValueError(f"{what} must be a whole number, got {x!r}")
+    if least is not None and (n < least or even and n % 2):
+        raise ValueError(f"{what} must be {'even and ' if even else ''}>= {least}, got {n}")
     return n
 
 
 def grid_nodes(n: int) -> np.ndarray:
     """The n + 1 equispaced nodes i/n of [0, 1]; n must be at least 1."""
-    n = _whole(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _whole(n, "n", 1)
     return np.arange(n + 1) / n
 
 
@@ -546,9 +547,7 @@ def check_quasicopula(func, n: int = 200, tol: float = 1e-9) -> AxiomReport:
     off-grid Lipschitz violations, so a clean grid report certifies the
     axioms up to O(1/n). A non-finite value on the grid raises ValueError.
     """
-    n = _whole(n, "n")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _whole(n, "n", 2)
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     t = grid_nodes(n)
@@ -604,6 +603,10 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     spacing of doubles in [1/2, 1)). No density is required, so singular
     copulas work.
 
+    An ``Envelope`` inside its ``QUASI`` interval, a proper quasi-copula, is
+    refused up front with OutOfRangeError: near the ends of the interval the
+    probe below misses its negative mass.
+
     The conditional CDF is first probed at the levels k/32, k = 1..32. Each
     probe call broadcasts the stacked pair (u + h, u), shape (2, 1, count),
     against a block of levels, shape (L, 1), so terms of u alone cost
@@ -624,9 +627,11 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     steps see only its own doubles, so the walk changes no output; the rows
     are returned in draw order.
     """
-    count, seed = _whole(count, "count"), _whole(seed, "seed")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count, seed = _whole(count, "count", 1), _whole(seed, "seed")
+    if isinstance(func, Envelope) and not func.is_copula:
+        lo, hi = func.QUASI
+        raise OutOfRangeError(f"{func.label} is not a copula (a proper quasi-copula "
+                              f"for k in ({lo:g}, {hi:g})); refusing to sample")
     # two adjacent doubles in [1/2, 1) lie 2**-53 apart and their midpoint is
     # one of them, so a bracket that narrow cannot shrink any further
     if not 2.0 ** -53 <= inv_tol < np.inf:

@@ -59,9 +59,7 @@ def effectiveness_score(kind: str, k: float, n: int = 2048) -> EffectivenessRow:
     broken and raises.
     """
     upper, lower = _bounds_for(kind, k)
-    n = _whole(n, "panel count")
-    if n < 64 or n % 2:
-        raise ValueError("panel count must be even and >= 64")
+    n = _whole(n, "panel count", 64, even=True)
     t = grid_nodes(n)
     w = simpson_weights(n)
     total = 0.0

@@ -62,9 +62,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        n, values = _whole(self.n, "n"), np.asarray(self.values, dtype=float)
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
+        n, values = _whole(self.n, "n", 2), np.asarray(self.values, dtype=float)
         if values.shape != (n + 1, n + 1):
             raise ValueError(f"values must have shape ({n + 1}, {n + 1})")
         if not (values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9):

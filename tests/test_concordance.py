@@ -38,19 +38,10 @@ def test_blomqvist_reference_values():
     assert cb.blomqvist_beta(cb.W) == -1.0
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        cb.QuadratureConfig(3)
-    with pytest.raises(ValueError):
-        cb.QuadratureConfig(0)
-
-
 def test_simpson_weights_integrate_cubics_exactly():
     w = cb.simpson_weights(64)
     t = np.arange(65) / 64
     assert w @ t**3 == pytest.approx(0.25, abs=1e-15)
-    with pytest.raises(ValueError, match="panel count must be even"):
-        cb.simpson_weights(3)
 
 
 # ---------------------------------------------------------------------------

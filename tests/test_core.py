@@ -256,36 +256,43 @@ def test_check_quasicopula_flags_margin_and_lipschitz_violations():
 
 def test_check_quasicopula_validates_arguments():
     with pytest.raises(ValueError):
-        cb.check_quasicopula(cb.W, n=1)
-    with pytest.raises(ValueError):
         cb.check_quasicopula(cb.W, n=10, tol=0.0)
     for tol in (np.nan, np.inf):
         with pytest.raises(ValueError):
             cb.check_quasicopula(cb.M, n=20, tol=tol)
 
 
-def test_counts_must_be_whole_numbers():
+def test_counts_must_be_whole_numbers(capsys):
     # a whole float counts as its int; anything else fails at entry, not
-    # deep inside numpy
+    # deep inside numpy. A count below its least, or odd where an even one
+    # is asked, fails with one message for every size.
+    panels = "panel count must be even and >= "
     entries = [
-        (lambda n: cb.QuadratureConfig(n).n, 64),
-        (lambda n: cb.effectiveness_score("gini", 0.1, n).m, 64),
-        (lambda n: cb.sample_conditional(cb.PI, n, 0).tobytes(), 10),
-        (lambda n: cb.check_quasicopula(cb.PI, n), 20),
-        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, n, 0).tobytes(), 10),
-        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, 10, n).tobytes(), 3),
-        (lambda n: cb.sample_conditional(cb.PI, 10, n).tobytes(), 3),
-        (lambda n: cb.simpson_weights(n).tobytes(), 64),
-        (lambda n: core.grid_nodes(n).tobytes(), 4),
-        (lambda n: CheckerboardCopula.random(n, 0).masses.tobytes(), 4),
-        (lambda n: CheckerboardCopula.random(4, n).masses.tobytes(), 3),
-        (lambda n: GridFunction(n, np.zeros((5, 5))).n, 4),
+        (lambda n: cb.QuadratureConfig(n).n, 64, panels + "2", (0, 1, 3)),
+        (lambda n: cb.effectiveness_score("gini", 0.1, n).m, 64, panels + "64", (62, 63, 65)),
+        (lambda n: cb.sample_conditional(cb.PI, n, 0).tobytes(), 10, "count must be >= 1", (0,)),
+        (lambda n: cb.check_quasicopula(cb.PI, n), 20, "n must be >= 2", (1,)),
+        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, n, 0).tobytes(), 10, None, ()),
+        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, 10, n).tobytes(), 3, None, ()),
+        (lambda n: cb.sample_conditional(cb.PI, 10, n).tobytes(), 3, None, ()),
+        (lambda n: cb.simpson_weights(n).tobytes(), 64, panels + "2", (0, 1, 3)),
+        (lambda n: core.grid_nodes(n).tobytes(), 4, "n must be >= 1", (0,)),
+        (lambda n: CheckerboardCopula.random(n, 0).masses.tobytes(), 4, None, ()),
+        (lambda n: CheckerboardCopula.random(4, n).masses.tobytes(), 3, None, ()),
+        (lambda n: GridFunction(n, np.zeros((5, 5))).n, 4, "n must be >= 2", (1,)),
     ]
-    for entry, n in entries:
+    for entry, n, least, rejected in entries:
         assert entry(float(n)) == entry(n)
         for bad in (n + 0.5, np.nan, np.inf, str(n)):
             with pytest.raises(ValueError, match="whole number"):
                 entry(bad)
+        for bad in rejected:
+            with pytest.raises(ValueError, match=rf"^{least}, got {bad}$"):
+                entry(bad)
+    for argv, message in (("grid f-upper 0.1 1", "grid resolution must be >= 2, got 1"),
+                          ("sample M 0 1", "count must be >= 1, got 0")):
+        assert cli.main(argv.split()) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert type(cb.QuadratureConfig(64.0).n) is int
     assert type(GridFunction(4.0, np.zeros((5, 5))).n) is int
 
@@ -437,10 +444,21 @@ def test_sample_conditional_lower_footrule_support():
 
 
 def test_sample_conditional_rejects_quasi_copula():
+    # an envelope inside its QUASI interval is refused before any evaluation;
+    # the probe would sample all of these but f-upper:0.0
+    for spec in ("f-upper:0.0", "g-upper:-0.001", "f-upper:0.2499", "g-lower:0.001",
+                 "f-upper:0.245", "g-upper:-0.01"):
+        func = cli.parse_copula_spec(spec)
+        func._value = None  # any evaluation would raise TypeError
+        with pytest.raises(cb.OutOfRangeError, match="not a copula"):
+            cb.sample_conditional(func, 500, 3)
+    # the probe itself, on the same doubles under a type that is not an Envelope
     for spec, drop in (("f-upper:0.0", "0.0208"), ("g-upper:-0.5", "0.0051"),
                        ("g-lower:0.3", "0.00267")):
+        plain = cb.BivariateFunction()
+        plain._value = cli.parse_copula_spec(spec)._value
         with pytest.raises(cb.NotMonotoneError) as exc:
-            cb.sample_conditional(cli.parse_copula_spec(spec), 500, 3)
+            cb.sample_conditional(plain, 500, 3)
         assert str(exc.value) == (f"conditional CDF decreases by {drop} (> 1e-07); "
                                   "the evaluator is not 2-increasing"), spec
 
@@ -449,8 +467,6 @@ def test_sample_conditional_is_deterministic():
     one = cb.sample_conditional(cb.PI, 100, 21)
     two = cb.sample_conditional(cb.PI, 100, 21)
     assert np.array_equal(one, two)
-    with pytest.raises(ValueError):
-        cb.sample_conditional(cb.PI, 0, 1)
 
 
 @pytest.mark.parametrize("inv_tol", [np.nan, np.inf, 0.0, -1.0, 1e-17, 2.0 ** -54])
