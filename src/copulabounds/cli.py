@@ -4,12 +4,11 @@ Evaluates measures, tabulates envelopes and attainable regions, audits the
 copula axioms, and samples supports; every command emits CSV (comma
 separated, LF line endings, floats at six decimals) to stdout or --out.
 
-Exit codes: 0 success, 2 usage or spec-parse errors (a value given both as
-a positional and as a flag among them), 3 semantic rejection: every
-ValueError a command raises on its argument values (out-of-range
-parameters, invalid specs, sampling a proper quasi-copula), a size too
-large to allocate, and an --out path that cannot be written. Every error
-is one ``error:`` line on stderr.
+Exit codes: 0 success, 2 usage or spec-parse errors, 3 semantic
+rejection: every ValueError a command raises on its argument values
+(out-of-range parameters, invalid specs, sampling a proper quasi-copula),
+a size too large to allocate, and an --out path that cannot be written.
+Every error is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -201,16 +200,14 @@ def _draw(func, count: int, seed: int) -> np.ndarray:
 def cmd_sample(args) -> CsvTable:
     func = parse_copula_spec(args.spec)
     count = core._whole(args.count, "count", 1)
-    seed = _pick(args.seed_pos, args.seed_flag, 0, "seed")
+    seed = core._whole(args.seed, "seed", 0)
     pts = _draw(func, count, seed)
     return CsvTable(["u", "v"], [pts[:, 0], pts[:, 1]])
 
 
 def cmd_check(args) -> CsvTable:
     func = parse_copula_spec(args.spec)
-    n = _pick(args.n_pos, args.n_flag, 200, "n")
-    tol = _pick(args.tol_pos, args.tol_flag, 1e-9, "tol")
-    report = core.check_quasicopula(func, n=n, tol=tol)
+    report = core.check_quasicopula(func, n=args.n, tol=args.tol)
     lo, hi = report.worst_rectangle
     row = (report.is_quasicopula, report.is_two_increasing, report.worst_volume,
            lo.u, lo.v, hi.u, hi.v,
@@ -248,15 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a copula spec (quasi-copulas are refused)")
     p.add_argument("spec")
     p.add_argument("count", type=int)
-    p.add_argument("seed_pos", metavar="seed", type=int, nargs="?", default=None)
-    p.add_argument("--seed", dest="seed_flag", type=int, default=None)
+    p.add_argument("seed", type=int, nargs="?", default=0)
 
     p = sub.add_parser("check", help="audit the quasi-copula axioms on a grid")
     p.add_argument("spec")
-    p.add_argument("n_pos", metavar="n", type=int, nargs="?", default=None)
-    p.add_argument("tol_pos", metavar="tol", type=float, nargs="?", default=None)
-    p.add_argument("--n", dest="n_flag", type=int, default=None)
-    p.add_argument("--tol", dest="tol_flag", type=float, default=None)
+    p.add_argument("n", type=int, nargs="?", default=200)
+    p.add_argument("tol", type=float, nargs="?", default=1e-9)
 
     return parser
 
@@ -264,16 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 # one parser serves the process, built on the first ``main`` call; commands
 # are looked up by name at dispatch, so a patched ``cmd_*`` takes effect
 _parser = functools.cache(build_parser)
-
-
-def _pick(positional, flag, default, name):
-    if positional is not None and flag is not None:
-        raise UsageError(f"{name} given both as a positional and as --{name}")
-    if positional is not None:
-        return positional
-    if flag is not None:
-        return flag
-    return default
 
 
 def main(argv=None) -> int:

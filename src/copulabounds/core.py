@@ -506,7 +506,7 @@ def sample_shuffle(spec: ShuffleSpec, count: int, seed: int) -> np.ndarray:
     piecewise translation/reflection, so points sit exactly on the support
     segments. Reproducible for a fixed seed.
     """
-    count, seed = _whole(count, "count"), _whole(seed, "seed")
+    count, seed = _whole(count, "count"), _whole(seed, "seed", 0)
     if count < 1:
         raise InvalidSpecError("count must be >= 1")
     p_lo, p_hi, s_lo, s_hi, omega = spec.piece_geometry()
@@ -627,7 +627,7 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
     steps see only its own doubles, so the walk changes no output; the rows
     are returned in draw order.
     """
-    count, seed = _whole(count, "count", 1), _whole(seed, "seed")
+    count, seed = _whole(count, "count", 1), _whole(seed, "seed", 0)
     if isinstance(func, Envelope) and not func.is_copula:
         lo, hi = func.QUASI
         raise OutOfRangeError(f"{func.label} is not a copula (a proper quasi-copula "

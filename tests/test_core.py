@@ -264,17 +264,17 @@ def test_check_quasicopula_validates_arguments():
 
 def test_counts_must_be_whole_numbers(capsys):
     # a whole float counts as its int; anything else fails at entry, not
-    # deep inside numpy. A count below its least, or odd where an even one
-    # is asked, fails with one message for every size.
-    panels = "panel count must be even and >= "
+    # deep inside numpy. A size or seed below its least, or odd where an
+    # even one is asked, fails with one message for every entry point.
+    panels, seeds = "panel count must be even and >= ", "seed must be >= 0"
     entries = [
         (lambda n: cb.QuadratureConfig(n).n, 64, panels + "2", (0, 1, 3)),
         (lambda n: cb.effectiveness_score("gini", 0.1, n).m, 64, panels + "64", (62, 63, 65)),
         (lambda n: cb.sample_conditional(cb.PI, n, 0).tobytes(), 10, "count must be >= 1", (0,)),
         (lambda n: cb.check_quasicopula(cb.PI, n), 20, "n must be >= 2", (1,)),
         (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, n, 0).tobytes(), 10, None, ()),
-        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, 10, n).tobytes(), 3, None, ()),
-        (lambda n: cb.sample_conditional(cb.PI, 10, n).tobytes(), 3, None, ()),
+        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, 10, n).tobytes(), 3, seeds, (-1,)),
+        (lambda n: cb.sample_conditional(cb.PI, 10, n).tobytes(), 3, seeds, (-1,)),
         (lambda n: cb.simpson_weights(n).tobytes(), 64, panels + "2", (0, 1, 3)),
         (lambda n: core.grid_nodes(n).tobytes(), 4, "n must be >= 1", (0,)),
         (lambda n: CheckerboardCopula.random(n, 0).masses.tobytes(), 4, None, ()),
@@ -290,7 +290,9 @@ def test_counts_must_be_whole_numbers(capsys):
             with pytest.raises(ValueError, match=rf"^{least}, got {bad}$"):
                 entry(bad)
     for argv, message in (("grid f-upper 0.1 1", "grid resolution must be >= 2, got 1"),
-                          ("sample M 0 1", "count must be >= 1, got 0")):
+                          ("sample M 0 1", "count must be >= 1, got 0"),
+                          ("sample Pi 2 -1", "seed must be >= 0, got -1"),
+                          ("sample M 10 -1", "seed must be >= 0, got -1")):
         assert cli.main(argv.split()) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
     assert type(cb.QuadratureConfig(64.0).n) is int

@@ -1,11 +1,15 @@
 """README's library quick start runs as printed and gives the values its
-comments state, so renaming or rebinding a documented name fails here."""
+comments state, and every command of its CLI block parses, so renaming or
+rebinding a documented name or option fails here."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from copulabounds import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +46,14 @@ def test_library_quick_start():
             assert type(value) is type(expected) and value == expected, comment
         else:
             assert value == pytest.approx(expected, abs=1e-6), comment
+
+
+def test_cli_block_parses():
+    # parsed only, not run, so the block's full-size commands cost nothing
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "copulabounds"
+        cli.build_parser().parse_args(argv[1:])
