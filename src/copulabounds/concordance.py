@@ -15,20 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import M, W, ExtremalSpec, OutOfRangeError, _check_range, _finite, _whole, grid_nodes
+from .core import M, W, ExtremalSpec, OutOfRangeError, _finite, _whole, grid_nodes
 
 FOOTRULE_RANGE = (-0.5, 1.0)
 GINI_RANGE = (-1.0, 1.0)
 BLOMQVIST_RANGE = (-1.0, 1.0)
-# the ranges by every name that argument checks report a measure under
-_MEASURE_RANGES = {"footrule": FOOTRULE_RANGE, "gamma": GINI_RANGE, "beta": BLOMQVIST_RANGE}
-
-
-def _check_measure(name: str, value) -> float:
-    """``value`` checked against the range of measure ``name`` by
-    ``_check_range``, whose error message names the measure ``name``."""
-    lo, hi = _MEASURE_RANGES[name]
-    return _check_range(value, lo, hi, name)
 
 
 @dataclass(frozen=True)

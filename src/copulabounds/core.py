@@ -12,6 +12,7 @@ reproduce byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -378,14 +379,12 @@ class ExtremalCopula(BivariateFunction):
     def _value(self, u, v):
         a, b = self.spec.a, self.spec.b
         d = self.spec.anchor_value
-        if self.spec.kind == "lower":
-            core = np.minimum(np.minimum(d, u - a + d),
-                              np.minimum(v - b + d, u + v - a - b + d))
-            return np.maximum(W._value(u, v), core)
-        # plane pattern arranged so the prescribed value sits at (a, b) itself
-        core = np.maximum(np.maximum(d, u - a + d),
-                          np.maximum(v - b + d, u + v - a - b + d))
-        return np.minimum(M._value(u, v), core)
+        lower = self.spec.kind == "lower"
+        # plane pattern arranged so the prescribed value sits at (a, b) itself;
+        # the planes are freed before W or M is built, one full array fewer
+        core = reduce(np.minimum if lower else np.maximum,
+                      (d, u - a + d, v - b + d, u + v - a - b + d))
+        return np.maximum(W._value(u, v), core) if lower else np.minimum(M._value(u, v), core)
 
     def as_shuffle(self) -> "ShuffleSpec":
         a, b = self.spec.a, self.spec.b
@@ -591,17 +590,17 @@ DERIV_STEP = 1e-6
 MONO_TOL = 1e-7
 PROBE_LEVELS = 32  # probe levels k/32, the midpoints of the first five bisection steps
 PROBE_BLOCK = 16_000  # sample points times levels per probe call
+BISECT_STEPS = 20  # the last bracket is 2**-20, about 9.5e-7
 
 
-def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np.ndarray:
+def sample_conditional(func, count: int, seed: int) -> np.ndarray:
     """Sample a copula by inverting its numeric conditional CDF.
 
     The conditional CDF at u is the forward difference
     (C(u + h, v) - C(u, v)) / h with h = ``DERIV_STEP`` (the stencil shifts
-    left at the right edge), inverted by bisection until the bracket is
-    at most ``inv_tol``, which must be finite and at least 2**-53 (the
-    spacing of doubles in [1/2, 1)). No density is required, so singular
-    copulas work.
+    left at the right edge), inverted by ``BISECT_STEPS`` = 20 bisection
+    steps from [0, 1], to a bracket of 2**-20. No density is required, so
+    singular copulas work.
 
     An ``Envelope`` inside its ``QUASI`` interval, a proper quasi-copula, is
     refused up front with OutOfRangeError: near the ends of the interval the
@@ -632,10 +631,6 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
         lo, hi = func.QUASI
         raise OutOfRangeError(f"{func.label} is not a copula (a proper quasi-copula "
                               f"for k in ({lo:g}, {hi:g})); refusing to sample")
-    # two adjacent doubles in [1/2, 1) lie 2**-53 apart and their midpoint is
-    # one of them, so a bracket that narrow cannot shrink any further
-    if not 2.0 ** -53 <= inv_tol < np.inf:
-        raise ValueError("inv_tol must be finite and at least 2**-53")
     rng = np.random.default_rng(seed)
     draw_u = rng.random(count)
     order = np.argsort(draw_u)
@@ -661,19 +656,16 @@ def sample_conditional(func, count: int, seed: int, inv_tol: float = 1e-6) -> np
             "the evaluator is not 2-increasing"
         )
 
-    # bracket [lo, lo + width] in units of 1/32 while its midpoint is a level
-    lo = np.zeros(count, dtype=np.intp)
-    width = PROBE_LEVELS
-    while width > 1 and width / PROBE_LEVELS > inv_tol:
-        width //= 2
-        lo += np.where(probe[lo + width - 1, np.arange(count)] < p, width, 0)
-    hi = (lo + width) / PROBE_LEVELS
-    lo = lo / PROBE_LEVELS
-    while float((hi - lo).max()) > inv_tol:
+    lo, hi = np.zeros(count), np.ones(count)
+    for step in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        take = cond(x, mid) < p
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
+        # the first five midpoints are the levels k/32, rows k - 1 of the probe
+        if (1 << step) < PROBE_LEVELS:
+            f = probe[(mid * PROBE_LEVELS).astype(np.intp) - 1, np.arange(count)]
+        else:
+            f = cond(x, mid)
+        take = f < p
+        lo, hi = np.where(take, mid, lo), np.where(take, hi, mid)
     v = np.empty(count)
     v[order] = 0.5 * (lo + hi)
     return np.column_stack([draw_u, v])

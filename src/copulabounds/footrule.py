@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import M, W, Envelope, PiecewiseEnvelope
-from .concordance import FOOTRULE_RANGE, _check_measure
+from .core import M, W, Envelope, PiecewiseEnvelope, _check_range
+from .concordance import FOOTRULE_RANGE
 
 DELTA_LABELS = ("none", "D1", "D2", "D3", "D4", "D5", "D6", "D7")
 
@@ -114,5 +114,5 @@ def footrule_of_lower_bound(phi) -> float:
     Strictly below the parameter on the open range, with equality at the
     endpoints; the envelope is not a member of the family it bounds.
     """
-    phi = _check_measure("footrule", phi)
+    phi = _check_range(phi, *FOOTRULE_RANGE, "footrule")
     return 2.0 - phi - float(np.sqrt(6.0 * (1.0 - phi)))

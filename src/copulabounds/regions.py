@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concordance import BLOMQVIST_RANGE, _check_measure
+from .concordance import BLOMQVIST_RANGE, FOOTRULE_RANGE, GINI_RANGE
+from .core import _check_range
 
 
 def _beta_range(k, s) -> tuple[float, float]:
@@ -30,19 +31,19 @@ def _range_given_beta(beta, s) -> tuple[float, float]:
 
 def beta_range_given_footrule(phi) -> tuple[float, float]:
     """Closed interval of beta over all copulas with footrule ``phi``."""
-    return _beta_range(_check_measure("footrule", phi), 2.0)
+    return _beta_range(_check_range(phi, *FOOTRULE_RANGE, "footrule"), 2.0)
 
 
 def footrule_range_given_beta(beta) -> tuple[float, float]:
     """Closed interval of footrule over all copulas with beta ``beta``."""
-    return _range_given_beta(_check_measure("beta", beta), 2.0)
+    return _range_given_beta(_check_range(beta, *BLOMQVIST_RANGE, "beta"), 2.0)
 
 
 def beta_range_given_gini(gamma) -> tuple[float, float]:
     """Closed interval of beta over all copulas with gamma ``gamma``."""
-    return _beta_range(_check_measure("gamma", gamma), 1.0)
+    return _beta_range(_check_range(gamma, *GINI_RANGE, "gamma"), 1.0)
 
 
 def gini_range_given_beta(beta) -> tuple[float, float]:
     """Closed interval of gamma over all copulas with beta ``beta``."""
-    return _range_given_beta(_check_measure("beta", beta), 1.0)
+    return _range_given_beta(_check_range(beta, *BLOMQVIST_RANGE, "beta"), 1.0)
