@@ -21,6 +21,7 @@ the monotone parameter sweeps are the acceptance criteria's
 and `test_gini.py`, which also compares the gathered pieces of both upper
 envelopes with the all-pieces form."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -197,40 +198,56 @@ def test_envelopes_are_attained_pointwise(of_lower, of_upper, lower, upper, lowe
         np.testing.assert_allclose(of_upper(u[sel], v[sel], value[sel]), k, rtol=0, atol=1e-12)
 
 
+# A scalar call runs as the call on one-element arrays, so it returns the
+# bits of the array call at the same point: numpy scalars square by pow(),
+# which can differ from x * x in the last bit. At these points, arithmetic
+# in numpy scalars moves both footrule envelopes' values (at one and two
+# points, by 5.6e-17), so a scalar path that leaves the arrays fails here.
+SCALAR_CASES = {
+    "f-upper": cb.FootruleUpperBound(-0.45),
+    "f-lower": cb.FootruleLowerBound(0.8),
+    "g-upper": cb.GiniUpperBound(-0.6),
+    "g-lower": cb.GiniLowerBound(0.3),
+    "delta_region": functools.partial(cb.delta_region, -0.45),
+    "omega_region": functools.partial(cb.omega_region, -0.6),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_CASES)
+def test_scalar_calls_equal_array_calls(name):
+    func = SCALAR_CASES[name]
+    a, b = np.random.default_rng(0).random((2, 20000))
+    array = func(a, b)
+    scalar = [func(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert {type(x) for x in scalar} == {float if array.dtype.kind == "f" else int}
+    scalar = np.array(scalar, dtype=array.dtype)
+    assert scalar.tobytes() == array.tobytes(), np.flatnonzero(scalar != array)
+
+
 # The module functions are the classes' own functional forms and region codes:
 # names of their modules, called positionally as (k, u, v), with the bits of
-# the class call on arrays. A scalar call runs as the call on one-element
-# arrays, so it returns those bits too, as a Python float or int: numpy
-# scalars square by pow(), which can differ from x * x in the last bit. At the
-# rng(0) points, arithmetic in numpy scalars moves f-lower's values at one
-# point at 0.3 and at two at 0.8, by 5.6e-17, and the piecewise envelopes do
-# not run on numpy scalars at all, so a scalar path that leaves the arrays
-# fails here.
+# the class call on arrays and a Python float or int for scalar input.
 BOUND_NAMES = {
-    "footrule_lower_bound": (cb.footrule, cb.FootruleLowerBound, (0.3, 0.8), "__call__"),
-    "footrule_upper_bound": (cb.footrule, cb.FootruleUpperBound, (-0.45,), "__call__"),
-    "delta_region": (cb.footrule, cb.FootruleUpperBound, (-0.45,), "_region_codes"),
-    "gini_upper_bound": (cb.gini, cb.GiniUpperBound, (-0.6,), "__call__"),
-    "gini_lower_bound": (cb.gini, cb.GiniLowerBound, (0.3,), "__call__"),
-    "omega_region": (cb.gini, cb.GiniUpperBound, (-0.6,), "_region_codes"),
+    "footrule_lower_bound": (cb.footrule, cb.FootruleLowerBound, 0.3, "__call__"),
+    "footrule_upper_bound": (cb.footrule, cb.FootruleUpperBound, -0.45, "__call__"),
+    "delta_region": (cb.footrule, cb.FootruleUpperBound, -0.45, "_region_codes"),
+    "gini_upper_bound": (cb.gini, cb.GiniUpperBound, -0.6, "__call__"),
+    "gini_lower_bound": (cb.gini, cb.GiniLowerBound, 0.3, "__call__"),
+    "omega_region": (cb.gini, cb.GiniUpperBound, -0.6, "_region_codes"),
 }
 
 
 @pytest.mark.parametrize("name", BOUND_NAMES)
 def test_bound_names_are_the_class_calls(name):
-    module, cls, ks, method = BOUND_NAMES[name]
+    module, cls, k, method = BOUND_NAMES[name]
     func = vars(module)[name]
-    a, b = np.random.default_rng(0).random((2, 20000))
-    a, b = np.append(a, 0.3), np.append(b, 0.6)
-    for k in ks:
-        for u, v in (POINTS, (a, b)):
-            expected = getattr(cls(k), method)(u, v)
-            got = func(k, u, v)
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-        scalar = [func(k, x, y) for x, y in zip(a.tolist(), b.tolist())]
-        assert {type(x) for x in scalar} == {float if expected.dtype.kind == "f" else int}
-        scalar = np.array(scalar, dtype=expected.dtype)
-        assert scalar.tobytes() == expected.tobytes(), (k, np.flatnonzero(scalar != expected))
+    u, v = POINTS
+    expected = getattr(cls(k), method)(u, v)
+    got = func(k, u, v)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    scalar = func(k, 0.3, 0.6)
+    assert type(scalar) is (float if expected.dtype.kind == "f" else int)
+    assert scalar == getattr(cls(k), method)(np.array([0.3]), np.array([0.6]))[0]
 
 
 # Each envelope class labels its own pieces: the upper classes through the
