@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,25 @@ def test_swapped_envelopes_raise(monkeypatch):
     for kind in ("footrule", "gini"):
         with pytest.raises(RuntimeError, match="bound ordering violated"):
             cb.effectiveness_score(kind, 0.2, 64)
+
+
+@pytest.mark.parametrize("n", [64, 66, 128, 512])
+def test_cached_strips_fold_the_whole_grid(n):
+    # Simpson of the constant 1 over the folded quarter is 1, and the orbits
+    # cover each of the (n + 1)^2 nodes once; 66 ends in a partial strip
+    strips = effectiveness._strips(n)
+    w = cb.simpson_weights(n)
+    assert sum(float(w[rows] @ orbit @ w[cols]) for rows, cols, orbit in strips) == pytest.approx(
+        1.0, abs=1e-14)
+    assert sum(int(orbit.sum()) for _, _, orbit in strips) == (n + 1) ** 2
+    assert effectiveness._strips(n) is strips
+    with pytest.raises(ValueError):
+        strips[-1][2][0, 0] = 1
+
+
+def test_table_scores_are_pinned_bit_for_bit():
+    # the order 64, 66, 64 shows that the cached strips are kept per n
+    rows = cb.table_rows(64) + cb.table_rows(66) + cb.table_rows(64)
+    text = "\n".join(float.hex(r.m) for r in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2fa0e3beabcd120cb7b15d18b44f6c389e4c353e675b90bf9414fdef506773cb")
