@@ -26,7 +26,6 @@ from .core import (
     sample_shuffle,
 )
 from .concordance import (
-    DEFAULT_QUADRATURE,
     FOOTRULE_RANGE,
     GINI_RANGE,
     QuadratureConfig,

@@ -207,7 +207,7 @@ def cmd_sample(args) -> CsvTable:
 
 def cmd_check(args) -> CsvTable:
     func = parse_copula_spec(args.spec)
-    report = core.check_quasicopula(func, n=args.n, tol=args.tol)
+    report = core.check_quasicopula(func, n=args.n)
     lo, hi = report.worst_rectangle
     row = (report.is_quasicopula, report.is_two_increasing, report.worst_volume,
            lo.u, lo.v, hi.u, hi.v,
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="audit the quasi-copula axioms on a grid")
     p.add_argument("spec")
     p.add_argument("n", type=int, nargs="?", default=200)
-    p.add_argument("tol", type=float, nargs="?", default=1e-9)
 
     return parser
 

@@ -32,9 +32,6 @@ class QuadratureConfig:
         object.__setattr__(self, "n", _whole(self.n, "panel count", 2, even=True))
 
 
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
 def simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights over n even panels of [0, 1], n+1 nodes."""
     n = _whole(n, "panel count", 2, even=True)
@@ -44,22 +41,20 @@ def simpson_weights(n: int) -> np.ndarray:
     return w / (3.0 * n)
 
 
-def spearman_footrule(func, quad: QuadratureConfig | None = None) -> float:
+def spearman_footrule(func, quad: QuadratureConfig = QuadratureConfig()) -> float:
     """Spearman footrule 6 * int C(t,t) dt - 2, clamped to [-1/2, 1].
 
     The same diagonal integral extends the measure verbatim to proper
     quasi-copulas, which is how the supremum envelopes are scored. This and
     the other measures raise ValueError when the result is not finite.
     """
-    quad = quad or DEFAULT_QUADRATURE
     t = grid_nodes(quad.n)
     val = _finite(6.0 * float(simpson_weights(quad.n) @ func(t, t)) - 2.0, "footrule")
     return min(max(val, FOOTRULE_RANGE[0]), FOOTRULE_RANGE[1])
 
 
-def gini_gamma(func, quad: QuadratureConfig | None = None) -> float:
+def gini_gamma(func, quad: QuadratureConfig = QuadratureConfig()) -> float:
     """Gini gamma 4 * int (C(t,t) + C(t,1-t)) dt - 2, clamped to [-1, 1]."""
-    quad = quad or DEFAULT_QUADRATURE
     t = grid_nodes(quad.n)
     w = simpson_weights(quad.n)
     val = _finite(4.0 * float(w @ (func(t, t) + func(t, 1.0 - t))) - 2.0, "gamma")

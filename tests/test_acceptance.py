@@ -105,13 +105,13 @@ def test_criterion_04_copula_quasi_copula_dichotomy():
     for n in (120, 200):
         worst_pos = 0.0
         for func in copulas:
-            report = cb.check_quasicopula(func, n=n, tol=1e-9)
+            report = cb.check_quasicopula(func, n=n)
             ok &= report.is_quasicopula
             worst_pos = min(worst_pos, report.worst_volume)
         ok &= worst_pos >= -1e-12
         nearest_neg = -np.inf
         for func in quasis:
-            report = cb.check_quasicopula(func, n=n, tol=1e-9)
+            report = cb.check_quasicopula(func, n=n)
             located = h_volume(func, *report.worst_rectangle)
             ok &= report.is_quasicopula and not report.is_two_increasing and located < -1e-6
             nearest_neg = max(nearest_neg, located)

@@ -176,7 +176,7 @@ def test_extremal_copulas_are_two_increasing():
         c = rng.uniform(0, min(a, b, 1 - a, 1 - b))
         kind = "lower" if rng.random() < 0.5 else "upper"
         ev = cb.ExtremalCopula(cb.ExtremalSpec(a, b, c, kind))
-        report = cb.check_quasicopula(ev, n=60, tol=1e-9)
+        report = cb.check_quasicopula(ev, n=60)
         assert report.is_quasicopula and report.is_two_increasing
 
 
@@ -225,14 +225,14 @@ def test_total_mass_is_one_for_builtin_copulas():
 # ---------------------------------------------------------------------------
 
 def test_check_quasicopula_accepts_w():
-    report = cb.check_quasicopula(cb.W, n=100, tol=1e-9)
+    report = cb.check_quasicopula(cb.W, n=100)
     assert report.is_quasicopula and report.is_two_increasing
     assert report.worst_volume >= -1e-12
     assert report.margin_violation <= 1e-12
 
 
 def test_check_quasicopula_flags_upper_footrule_envelope():
-    report = cb.check_quasicopula(cb.FootruleUpperBound(0.0), n=200, tol=1e-9)
+    report = cb.check_quasicopula(cb.FootruleUpperBound(0.0), n=200)
     assert report.is_quasicopula
     assert not report.is_two_increasing
     # the located rectangle really carries the reported negative mass
@@ -248,18 +248,31 @@ class _BrokenMargins(cb.BivariateFunction):
 
 
 def test_check_quasicopula_flags_margin_and_lipschitz_violations():
-    report = cb.check_quasicopula(_BrokenMargins(), n=50, tol=1e-9)
+    report = cb.check_quasicopula(_BrokenMargins(), n=50)
     assert not report.is_quasicopula
     assert report.margin_violation > 0.1
     assert report.lipschitz_violation > 0.0
 
 
-def test_check_quasicopula_validates_arguments():
-    with pytest.raises(ValueError):
-        cb.check_quasicopula(cb.W, n=10, tol=0.0)
-    for tol in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            cb.check_quasicopula(cb.M, n=20, tol=tol)
+class _BumpedM(cb.BivariateFunction):
+    label = "bumped"
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def _value(self, u, v):
+        return np.minimum(u, v) + self.eps * ((u == 0.3) & (v == 0.7))
+
+
+def test_check_quasicopula_verdicts_allow_one_part_in_a_billion():
+    # M raised by eps at the node (0.3, 0.7) of the n = 10 grid: the
+    # Lipschitz and volume sizes read about eps, so 1e-9 lies between them
+    for eps, verdict in ((0.5e-9, True), (2e-9, False)):
+        report = cb.check_quasicopula(_BumpedM(eps), n=10)
+        assert report.is_quasicopula is verdict and report.is_two_increasing is verdict
+        assert report.lipschitz_violation == pytest.approx(eps, rel=1e-3)
+        assert report.worst_volume == pytest.approx(-eps, rel=1e-3)
+        assert report.margin_violation == 0.0
 
 
 def test_counts_must_be_whole_numbers(capsys):
@@ -272,7 +285,7 @@ def test_counts_must_be_whole_numbers(capsys):
         (lambda n: cb.effectiveness_score("gini", 0.1, n).m, 64, panels + "64", (62, 63, 65)),
         (lambda n: cb.sample_conditional(cb.PI, n, 0).tobytes(), 10, "count must be >= 1", (0,)),
         (lambda n: cb.check_quasicopula(cb.PI, n), 20, "n must be >= 2", (1,)),
-        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, n, 0).tobytes(), 10, None, ()),
+        (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, n, 0).tobytes(), 10, "count must be >= 1", (0,)),
         (lambda n: cb.sample_shuffle(cb.IDENTITY_SHUFFLE, 10, n).tobytes(), 3, seeds, (-1,)),
         (lambda n: cb.sample_conditional(cb.PI, 10, n).tobytes(), 3, seeds, (-1,)),
         (lambda n: cb.simpson_weights(n).tobytes(), 64, panels + "2", (0, 1, 3)),
@@ -341,7 +354,7 @@ def test_half_shift_shuffle_values():
     z = cb.ShuffleOfMin(HALF_SHIFT_SHUFFLE)
     assert z(0.25, 0.75) == pytest.approx(0.25, abs=1e-15)
     assert z(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
-    report = cb.check_quasicopula(z, n=100, tol=1e-9)
+    report = cb.check_quasicopula(z, n=100)
     assert report.is_quasicopula and report.is_two_increasing
 
 
@@ -357,7 +370,7 @@ def test_sample_shuffle_support_and_determinism():
 
 
 def test_sample_shuffle_rejects_empty_draw():
-    with pytest.raises(cb.InvalidSpecError):
+    with pytest.raises(ValueError, match=r"^count must be >= 1, got 0$"):
         cb.sample_shuffle(cb.IDENTITY_SHUFFLE, 0, 1)
 
 
@@ -391,7 +404,7 @@ def test_grid_function_validation():
 
 def test_checkerboard_is_a_copula():
     board = CheckerboardCopula.random(16, 7)
-    report = cb.check_quasicopula(board, n=96, tol=1e-9)
+    report = cb.check_quasicopula(board, n=96)
     assert report.is_quasicopula and report.is_two_increasing
 
 

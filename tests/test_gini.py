@@ -162,7 +162,7 @@ def test_negative_mass_sits_near_the_collapsed_corner():
     # locate the flagged rectangle close to the corner where the mixed
     # second derivative of the governing piece turns negative
     g = -0.5
-    report = cb.check_quasicopula(cb.GiniUpperBound(g), n=200, tol=1e-9)
+    report = cb.check_quasicopula(cb.GiniUpperBound(g), n=200)
     corner = 0.5 * (1.0 - np.sqrt(3.0) / 3.0 * np.sqrt(1.0 - 2.0 * g))
     lo, hi = report.worst_rectangle
     dist = np.hypot(lo.u - corner, lo.v - corner)
